@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NotApplicable, UndecidedBranch
 from .functions import EigenvalueFunction, GFunction, g_transform
 from .ideals import IdealConfig, IdealDecision, in_kernel, in_principal_ideal
-from .indices import EstimatorConfig, MatuszewskaReport, as_g, is_regular, matuszewska
+from .indices import EstimatorConfig, MatuszewskaReport, _regularity, as_g, is_regular, matuszewska
 from .integral import TraceClassVerdict, is_trace_class, log_S_grid
 
 CRIT_INDICES = "indices"
@@ -85,10 +85,8 @@ def _windows(T: float, n: int):
 
 
 def _window_grid(g: GFunction, lo: float, hi: float, points: int) -> np.ndarray:
-    from .functions import step_knots_t
-
     ss = np.linspace(lo, hi, points)
-    knots = step_knots_t(g.family)
+    knots = g.family.knots_t()
     if knots is not None:
         # the near-target dips of a step profile start right at its jumps
         extra = []
@@ -275,7 +273,7 @@ def classify(fn, cfg: ClassifyConfig | None = None) -> ClassificationReport:
     g = g_transform(mu)
     tc = is_trace_class(mu)
     rep = matuszewska(fn, cfg.index_config)
-    regular, delta = is_regular(fn, tol=cfg.regular_tol, cfg=cfg.index_config)
+    regular, delta = _regularity(rep, cfg.regular_tol)
     v_idx = traceable_by_indices(fn, cfg, report=rep)
     v_lim = traceable_by_liminf(fn, cfg)
     v_rat = traceable_by_ratio(fn, None, cfg)

@@ -21,7 +21,7 @@ import sys
 
 from .classify import ClassifyConfig, classify, dichotomy
 from .errors import SingTraceError
-from .functions import EigenvalueFunction, GFunction
+from .functions import EigenvalueFunction
 from .ideals import IdealConfig, in_kernel, in_principal_ideal
 from .indices import EstimatorConfig, matuszewska
 from .ingest import ParseError, family_from_dict, family_to_dict, load_input
@@ -50,8 +50,6 @@ def _sanitize(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if isinstance(obj, (EigenvalueFunction, GFunction)):
-        return family_to_dict(obj)
     return obj
 
 
@@ -87,7 +85,8 @@ def _emit(report: dict, args) -> None:
 INLINE_KINDS = ("power_log", "exponential", "pure_power")
 
 
-def _add_common(parser, n_inputs):
+def _inputs(parser, n_inputs):
+    """Input files, each optional: --kind builds the first one inline."""
     for i in range(n_inputs):
         parser.add_argument(
             f"input{i + 1 if n_inputs > 1 else ''}",
@@ -100,18 +99,26 @@ def _add_common(parser, n_inputs):
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--cap", type=float, default=1.0)
     parser.add_argument("--alpha", type=float, default=1.0)
+
+
+def _estimator_flags(parser):
     parser.add_argument("--horizon", type=float, default=None,
                         help="index estimator horizon in the g coordinate")
     parser.add_argument("--h-grid", default=None,
                         help="comma separated increment lengths, e.g. 1,2,4")
     parser.add_argument("--tail-window", type=float, default=None,
                         help="fraction of the horizon used as the tail window")
+
+
+def _criterion_flags(parser):
+    _estimator_flags(parser)
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="ratio criterion dilation factor (> 1)")
     parser.add_argument("--tol", type=float, default=None,
                         help="regularity / index tolerance")
-    parser.add_argument("--n-steps", type=int, default=40,
-                        help="staircase steps for construct")
+
+
+def _output_flags(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", default=None, help="write the report to a file")
 
@@ -267,7 +274,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    (fn,) = _resolve_inputs(args, ["input"])
+    fn = load_input(args.input)
     if not isinstance(fn, EigenvalueFunction) or not fn.finite_rank:
         raise ParseError("rearrange expects a spectrum input")
     report = {
@@ -311,28 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="run all three traceability criteria")
-    _add_common(p, 1)
+    _inputs(p, 1)
+    _criterion_flags(p)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("indices", help="growth index report")
-    _add_common(p, 1)
+    _inputs(p, 1)
+    _estimator_flags(p)
     p.set_defaults(handler=_cmd_indices)
 
     p = sub.add_parser("ideal-check", help="is A in the principal ideal of B?")
-    _add_common(p, 2)
+    _inputs(p, 2)
     p.set_defaults(handler=_cmd_ideal)
 
     p = sub.add_parser("kernel-check", help="is A in the kernel of the ideal of B?")
-    _add_common(p, 2)
+    _inputs(p, 2)
     p.set_defaults(handler=_cmd_kernel)
 
     p = sub.add_parser("construct", help="build a vanisher or dominator staircase")
     p.add_argument("variant", choices=("vanisher", "dominator"))
-    _add_common(p, 1)
+    _inputs(p, 1)
+    p.add_argument("--n-steps", type=int, default=40, help="staircase steps")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("rearrange", help="non-increasing rearrangement of a spectrum")
-    _add_common(p, 1)
+    p.add_argument("input", help="spectrum CSV or JSON file")
     p.set_defaults(handler=_cmd_rearrange)
 
     p = sub.add_parser(
@@ -340,15 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
         aliases=["thm32"],
         help="zero/infinite dichotomy of singular traces on the ideal of B at A",
     )
-    _add_common(p, 2)
+    _inputs(p, 2)
+    _criterion_flags(p)
     p.set_defaults(handler=_cmd_dichotomy)
 
+    for p in dict.fromkeys(sub.choices.values()):  # an alias repeats its parser
+        _output_flags(p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors are bad input; exit code 2 means undecided
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.handler(args)
     except ParseError as exc:

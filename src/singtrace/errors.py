@@ -17,6 +17,10 @@ class NonpositiveWeight(SingTraceError, ValueError):
     """A spectral weight was zero or negative."""
 
 
+class NonFinite(SingTraceError, ValueError):
+    """A parameter, breakpoint or value was nan or infinite."""
+
+
 class NonpositiveLambda(SingTraceError, ValueError):
     """Dilation parameter must be strictly positive."""
 

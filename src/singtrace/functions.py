@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     NegativeValue,
+    NonFinite,
     NonpositiveLambda,
     NonpositiveWeight,
     NotInfinitesimal,
@@ -142,8 +143,79 @@ class _StepTables:
 # concrete families
 
 
+class Family:
+    """What every concrete family provides, with the defaults most share.
+
+    A family defines mu (on the M side) and g (on the G side), and
+    overrides the defaults below where they do not hold.  Piecewise
+    constant families report their jumps through edges_x() and knots_t();
+    the estimators scan those exactly.
+    """
+
+    finite_rank = False
+    horizon_t = None  # None: trusted on all of t (or finite rank)
+    profile = None  # exact GrowthProfile, when one is known
+    rank = None  # total mass of the support of a finite rank profile
+
+    @property
+    def exact_indices(self):
+        """Closed form (delta_lower, delta_upper), read off the profile."""
+        p = self.profile
+        if p is None:
+            return None
+        if p.kind == EXP:
+            return (0.0, 0.0)
+        if p.slope > 0:
+            return (1.0 / p.slope, 1.0 / p.slope)
+        return (INF, INF)
+
+    @property
+    def trace_class(self):
+        """Integrability of mu, read off the profile; None when unknown."""
+        p = self.profile
+        if p is None:
+            return None
+        return p.kind == EXP or p.slope > 1 or (p.slope == 1 and p.log_coeff > 1)
+
+    @property
+    def trace_basis(self):
+        return "horizon_only" if self.trace_class is None else "exact"
+
+    @staticmethod
+    def check_finite(what, *values, top_inf=False):
+        """Reject nan and infinite input; top_inf lets +inf through."""
+        for v in values:
+            if not (math.isfinite(v) or (top_inf and v == INF)):
+                raise NonFinite(f"{what} must be finite, got {v}")
+
+    def edges_x(self):
+        """Jump locations in x, or None for a family without jumps."""
+        return None
+
+    def knots_t(self):
+        """Jump locations in t = log x; edges_x keeps the exact x values."""
+        edges = self.edges_x()
+        return None if edges is None else tuple(math.log(e) for e in edges if e > 0)
+
+    @property
+    def is_step_like(self):
+        return self.knots_t() is not None
+
+    def log_S_up(self, s):
+        """Closed form of log S_up at s = log x, or None."""
+        return None
+
+    def log_S_down(self, s):
+        """Closed form of log S_down at s = log x, or None."""
+        return None
+
+    def g_inverse_point(self, y):
+        """First t with g(t) > y where an analytic inverse exists, else None."""
+        return None
+
+
 @dataclass(frozen=True)
-class PowerLog:
+class PowerLog(Family):
     """mu(x) = scale * (x+e)^(-p) * log(x+e)^(-q).
 
     The shift by e keeps the family defined and monotone on all of
@@ -160,6 +232,7 @@ class PowerLog:
     q: float = 0.0
 
     def __post_init__(self):
+        self.check_finite("scale, p and q", self.scale, self.p, self.q)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.p < 0:
@@ -168,10 +241,6 @@ class PowerLog:
             raise NotInfinitesimal("p = 0 requires q > 0 for an infinitesimal profile")
         if self.q < 0 and self.p + self.q < 0:
             raise ValueError("q < -p breaks monotonicity near 0")
-
-    finite_rank = False
-    horizon_t = None
-    is_step_like = False
 
     def mu(self, x):
         x = np.asarray(x, dtype=float)
@@ -188,18 +257,6 @@ class PowerLog:
         return GrowthProfile(
             LINLOG, slope=self.p, log_coeff=self.q, const=-math.log(self.scale)
         )
-
-    @property
-    def exact_indices(self):
-        if self.p > 0:
-            return (1.0 / self.p, 1.0 / self.p)
-        return (INF, INF)
-
-    @property
-    def trace_class(self):
-        return self.p > 1 or (self.p == 1 and self.q > 1)
-
-    trace_basis = "exact"
 
     def log_S_up(self, s):
         """Closed forms exist for q = 0 and for p = 1; otherwise None."""
@@ -238,18 +295,15 @@ class PowerLog:
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(Family):
     """mu(x) = e^(-alpha x); g(t) = alpha e^t."""
 
     alpha: float = 1.0
 
     def __post_init__(self):
+        self.check_finite("alpha", self.alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-
-    finite_rank = False
-    horizon_t = None
-    is_step_like = False
 
     def mu(self, x):
         x = np.asarray(x, dtype=float)
@@ -265,13 +319,6 @@ class Exponential:
     def profile(self):
         return GrowthProfile(EXP, rate=self.alpha)
 
-    exact_indices = (0.0, 0.0)
-    trace_class = True
-    trace_basis = "exact"
-
-    def log_S_up(self, s):
-        return None
-
     def log_S_down(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore"):
@@ -284,7 +331,7 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class PurePower:
+class PurePower(Family):
     """mu(x) = min(cap, scale * x^(-p)); exactly linear in the g coordinate.
 
     g(t) = max(-log cap, p*t - log scale), so past the crossover the graph
@@ -296,12 +343,9 @@ class PurePower:
     cap: float = 1.0
 
     def __post_init__(self):
+        self.check_finite("p, scale and cap", self.p, self.scale, self.cap)
         if self.p <= 0 or self.scale <= 0 or self.cap <= 0:
             raise ValueError("p, scale and cap must be positive")
-
-    finite_rank = False
-    horizon_t = None
-    is_step_like = False
 
     @property
     def _floor(self):
@@ -325,16 +369,6 @@ class PurePower:
     @property
     def profile(self):
         return GrowthProfile(LINLOG, slope=self.p, const=-math.log(self.scale))
-
-    @property
-    def exact_indices(self):
-        return (1.0 / self.p, 1.0 / self.p)
-
-    @property
-    def trace_class(self):
-        return self.p > 1
-
-    trace_basis = "exact"
 
     def log_S_up(self, s):
         if self.p > 1:
@@ -371,7 +405,7 @@ class PurePower:
 
 
 @dataclass(frozen=True)
-class StepMu:
+class StepMu(Family):
     """Finite rank step profile in the x coordinate.
 
     Value values[i] on [breakpoints[i], breakpoints[i+1]), zero from
@@ -384,6 +418,7 @@ class StepMu:
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
+        self.check_finite("step breakpoints and values", *bp, *vals)
         if not bp or bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
@@ -402,17 +437,16 @@ class StepMu:
         object.__setattr__(self, "values", vals)
 
     finite_rank = True
-    horizon_t = None
-    is_step_like = True
-    profile = None
     exact_indices = (0.0, 0.0)
     trace_class = True
-    trace_basis = "exact"
 
     @property
     def rank(self):
         """Total mass of the support (the point past which mu vanishes)."""
         return self.breakpoints[-1] if self.values else 0.0
+
+    def edges_x(self):
+        return self.breakpoints
 
     @cached_property
     def _bp(self):
@@ -461,12 +495,9 @@ class StepMu:
     def mass(self):
         return float(np.dot(self._vals, np.diff(self._bp))) if self.values else 0.0
 
-    def g_inverse_point(self, y):
-        return None
-
 
 @dataclass(frozen=True)
-class GStep:
+class GStep(Family):
     """Step profile in the g coordinate (staircases live here).
 
     Value values[j] holds on [breakpoints[j-1], breakpoints[j]); values[0]
@@ -488,6 +519,10 @@ class GStep:
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
+        self.check_finite("g step breakpoints", *bp)
+        self.check_finite("g step values", *vals, top_inf=True)
+        if self.horizon is not None:
+            self.check_finite("g step horizon", self.horizon)
         if not bp:
             raise ValueError("need at least one breakpoint")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
@@ -509,10 +544,6 @@ class GStep:
             return None
         return self.horizon if self.horizon is not None else self.breakpoints[-1]
 
-    is_step_like = True
-    profile = None
-    exact_indices = None
-
     @property
     def trace_class(self):
         if self.finite_rank:
@@ -524,6 +555,13 @@ class GStep:
         if self.finite_rank:
             return "exact"
         return "tail_model" if self.integrable is not None else "horizon_only"
+
+    def knots_t(self):
+        return self.breakpoints
+
+    def edges_x(self):
+        # past t = 700 e^t overflows; such edges lie beyond any x a caller asks about
+        return tuple(math.exp(b) for b in self.breakpoints if b < 700.0)
 
     @cached_property
     def _bp(self):
@@ -566,7 +604,7 @@ class GStep:
 
 
 @dataclass(frozen=True)
-class SampledMu:
+class SampledMu(Family):
     """Piecewise constant samples of a decay profile on an x grid.
 
     Without a tail model every asymptotic operation is restricted to the
@@ -575,11 +613,12 @@ class SampledMu:
 
     grid: tuple
     values: tuple
-    tail: object = None
+    tail: Family | None = None
 
     def __post_init__(self):
         g = tuple(float(x) for x in self.grid)
         v = tuple(float(x) for x in self.values)
+        self.check_finite("sample grid and values", *g, *v)
         if len(g) != len(v) or len(g) < 2:
             raise ValueError("need matching grid/values with at least 2 samples")
         if g[0] < 0 or any(b <= a for a, b in zip(g, g[1:])):
@@ -590,10 +629,6 @@ class SampledMu:
             raise ValueError("sample values must be non-increasing")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    is_step_like = True
-    profile = None
-    exact_indices = None
 
     @property
     def finite_rank(self):
@@ -621,6 +656,9 @@ class SampledMu:
             return "tail_model"
         return "exact" if self.finite_rank else "horizon_only"
 
+    def edges_x(self):
+        return self.grid
+
     @cached_property
     def _grid(self):
         return np.asarray(self.grid)
@@ -645,7 +683,12 @@ class SampledMu:
     def g(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", divide="ignore"):
-            return -np.log(self.mu(np.exp(t)))
+            x = np.exp(t)
+            out = -np.log(self.mu(x))
+        if self.tail is None:
+            return out
+        # the tail's own g stays finite where x = e^t overflows
+        return np.where(x >= self.grid[-1], self.tail.g(t), out)
 
     @cached_property
     def _tables(self):
@@ -681,12 +724,9 @@ class SampledMu:
         tail_at_end = self.tail.log_S_down(np.full_like(s, end))
         return np.where(s >= end, tail_down, logaddexp(base, tail_at_end))
 
-    def g_inverse_point(self, y):
-        return None
-
 
 @dataclass(frozen=True)
-class MinOf:
+class MinOf(Family):
     """Pointwise minimum of two G-side functions."""
 
     left: "GFunction"
@@ -701,20 +741,6 @@ class MinOf:
         hs = [h for h in (self.left.horizon_t, self.right.horizon_t) if h is not None]
         return min(hs) if hs else None
 
-    is_step_like = False
-
-    @property
-    def exact_indices(self):
-        # the slower growing side fixes the asymptotics of the minimum
-        p = self.profile
-        if p is None:
-            return None
-        if p.kind == EXP:
-            return (0.0, 0.0)
-        if p.slope > 0:
-            return (1.0 / p.slope, 1.0 / p.slope)
-        return (INF, INF)
-
     @property
     def trace_class(self):
         # min in G is max in M, integrable iff both sides are
@@ -725,10 +751,6 @@ class MinOf:
         if lt and rt:
             return True
         return None
-
-    @property
-    def trace_basis(self):
-        return "horizon_only" if self.trace_class is None else "exact"
 
     @property
     def profile(self):
@@ -744,42 +766,18 @@ class MinOf:
         x = np.asarray(x, dtype=float)
         return np.maximum(self.left.mu_view().eval(x), self.right.mu_view().eval(x))
 
-    def log_S_up(self, s):
-        return None
-
-    def log_S_down(self, s):
-        return None
-
-    def g_inverse_point(self, y):
-        return None
-
-
-def step_knots_t(family):
-    """Jump locations in the t = log x coordinate for piecewise constant
-    families, None for smooth ones.  Estimators scan these exactly."""
-    if isinstance(family, GStep):
-        return family.breakpoints
-    if isinstance(family, StepMu):
-        return tuple(math.log(b) for b in family.breakpoints if b > 0)
-    if isinstance(family, SampledMu):
-        return tuple(math.log(x) for x in family.grid if x > 0)
-    return None
-
 
 # ---------------------------------------------------------------------------
 # public wrappers
 
 
 @dataclass(frozen=True)
-class GFunction:
-    """Element of G: a family plus a shift, g(t) = b + family.g(t - a)."""
+class _View:
+    """A family under a shift (a, b) of its g coordinate; both views share it."""
 
-    family: object
+    family: Family
     a: float = 0.0
     b: float = 0.0
-
-    def eval(self, t):
-        return self.b + self.family.g(np.asarray(t, dtype=float) - self.a)
 
     def __call__(self, t):
         return as_float(self.eval(t))
@@ -792,6 +790,14 @@ class GFunction:
     def horizon_t(self):
         h = self.family.horizon_t
         return None if h is None else h + self.a
+
+
+@dataclass(frozen=True)
+class GFunction(_View):
+    """Element of G: a family plus a shift, g(t) = b + family.g(t - a)."""
+
+    def eval(self, t):
+        return self.b + self.family.g(np.asarray(t, dtype=float) - self.a)
 
     @property
     def profile(self):
@@ -811,12 +817,8 @@ class GFunction:
 
 
 @dataclass(frozen=True)
-class EigenvalueFunction:
+class EigenvalueFunction(_View):
     """Element of M: mu(x) = e^(-b) * family.mu(x e^(-a))."""
-
-    family: object
-    a: float = 0.0
-    b: float = 0.0
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -824,22 +826,10 @@ class EigenvalueFunction:
             raise ValueError("decay profiles are defined on [0, inf)")
         return math.exp(-self.b) * self.family.mu(x * math.exp(-self.a))
 
-    def __call__(self, x):
-        return as_float(self.eval(x))
-
-    @property
-    def finite_rank(self):
-        return self.family.finite_rank
-
     @property
     def rank(self):
-        r = getattr(self.family, "rank", None)
+        r = self.family.rank
         return None if r is None else r * math.exp(self.a)
-
-    @property
-    def horizon_t(self):
-        h = self.family.horizon_t
-        return None if h is None else h + self.a
 
     def g_view(self):
         return GFunction(self.family, self.a, self.b)
@@ -888,6 +878,7 @@ class SpectralData:
 
     def __post_init__(self):
         pairs = tuple((float(v), float(w)) for v, w in self.pairs)
+        Family.check_finite("spectral values and weights", *(x for pair in pairs for x in pair))
         for v, w in pairs:
             if v < 0:
                 raise NegativeValue(f"spectral value {v} is negative")

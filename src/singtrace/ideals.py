@@ -86,15 +86,13 @@ class IdealDecision:
 
 
 def _tail_grid(ga: GFunction, gb: GFunction, cfg: IdealConfig):
-    from .functions import step_knots_t
-
     horizons = [h for h in (ga.horizon_t, gb.horizon_t) if h is not None]
     T = cfg.horizon_t if cfg.horizon_t is not None else (min(horizons) if horizons else 200.0)
     lo = cfg.tail_fraction * T
     ts = np.linspace(lo, T, cfg.grid_points)
     extra = []
     for g in (ga, gb):
-        knots = step_knots_t(g.family)
+        knots = g.family.knots_t()
         if knots is not None:
             for raw in knots:
                 tau = raw + g.a
@@ -161,15 +159,11 @@ def in_principal_ideal(ga, gb, cfg: IdealConfig | None = None) -> IdealDecision:
 
 
 def _rank_t(g: GFunction) -> float:
-    bps = getattr(g.family, "breakpoints", None)
-    if bps is None:
+    """Where g turns infinite: the last jump (0 for the zero profile)."""
+    knots = g.family.knots_t()
+    if knots is None:
         return 0.0
-    raw = bps[-1]
-    from .functions import StepMu, SampledMu
-
-    if isinstance(g.family, (StepMu, SampledMu)):
-        raw = math.log(raw) if raw > 0 else 0.0
-    return raw + g.a
+    return (knots[-1] if knots else 0.0) + g.a
 
 
 def _profile_order(pa, pb):

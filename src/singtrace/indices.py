@@ -128,9 +128,7 @@ def _window_extremes(g: GFunction, h: float, w_lo: float, w_hi: float, t_step: f
     breaks where t or t+h crosses a jump, so scanning those critical
     points gives the exact extremes.
     """
-    from .functions import step_knots_t
-
-    knots = step_knots_t(g.family)
+    knots = g.family.knots_t()
     if knots is not None:
         crits = {w_lo, w_hi}
         for raw in knots:
@@ -170,10 +168,8 @@ def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> M
     usable = tuple(h for h in cfg.h_grid if horizon - h > w_lo)
     if not usable:
         raise HorizonTooShort(f"no increment fits the tail window up to T = {horizon:.3g}")
-    from .functions import step_knots_t
-
     per_h = []
-    exact_scan = step_knots_t(g.family) is not None
+    exact_scan = g.family.is_step_like
     for h in usable:
         w_hi = horizon - h
         if not exact_scan and (w_hi - w_lo) / cfg.t_step < 10:
@@ -197,7 +193,11 @@ def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> M
 
 def is_regular(fn, tol: float = 0.05, cfg: EstimatorConfig | None = None, mode: str = "auto"):
     """(regular?, common index) with exact equality in exact mode."""
-    rep = matuszewska(fn, cfg, mode)
+    return _regularity(matuszewska(fn, cfg, mode), tol)
+
+
+def _regularity(rep: MatuszewskaReport, tol: float):
+    """is_regular's answer read off a finished index report."""
     dl, du = rep.delta_lower, rep.delta_upper
     if rep.mode == "exact":
         return (dl == du, dl if dl == du else None)
@@ -257,7 +257,7 @@ def linear_bound_witness(fn, eps: float, cfg: EstimatorConfig | None = None,
         raise NoWitnessOnHorizon("finite rank: g is eventually infinite")
     rep = matuszewska(fn, cfg)
     dl, du = rep.delta_lower, rep.delta_upper
-    regular, delta = is_regular(fn, tol=regular_tol, cfg=cfg)
+    regular, delta = _regularity(rep, regular_tol)
 
     if dl > 1.0:
         if eps >= 1.0 - 1.0 / dl:

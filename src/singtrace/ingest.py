@@ -22,6 +22,7 @@ header optional.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -52,78 +53,108 @@ def _require(obj, key, kind):
     return obj[key]
 
 
+def _plain_kind(cls, *required):
+    """Reader and writer of a family whose fields are numbers or number lists;
+    the fields named in required, and those without a default, must be given."""
+
+    def read(obj, kind):
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if f.name in required or f.default is dataclasses.MISSING:
+                raw = _require(obj, f.name, kind)
+            else:
+                raw = obj.get(f.name, f.default)
+            kwargs[f.name] = tuple(float(x) for x in raw) if isinstance(raw, list) else float(raw)
+        return EigenvalueFunction(cls(**kwargs))
+
+    def write(fam):
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(fam).items()}
+
+    return cls, read, write
+
+
+def _read_g_step(obj, kind):
+    values = [
+        math.inf if v in ("inf", "Infinity", None) else float(v)
+        for v in _require(obj, "values", kind)
+    ]
+    tail = obj.get("tail", "hold")
+    if tail == "infinite" and not math.isinf(values[-1]):
+        values.append(math.inf)
+    horizon = obj.get("horizon")
+    return g_step(
+        tuple(float(b) for b in _require(obj, "breakpoints", kind)),
+        tuple(values),
+        horizon=None if horizon is None else float(horizon),
+        integrable=obj.get("integrable"),
+        label=str(obj.get("label", "")),
+    )
+
+
+def _write_g_step(fam):
+    out = {
+        "breakpoints": list(fam.breakpoints),
+        "values": ["inf" if math.isinf(v) else v for v in fam.values],
+        "tail": "infinite" if fam.finite_rank else "hold",
+    }
+    if fam.horizon is not None:
+        out["horizon"] = fam.horizon
+    if fam.integrable is not None:
+        out["integrable"] = fam.integrable
+    if fam.label:
+        out["label"] = fam.label
+    return out
+
+
+def _read_sampled(obj, kind):
+    tail_obj = obj.get("tail")
+    tail = None
+    if tail_obj is not None:
+        tail_fn = family_from_dict(tail_obj)
+        if not isinstance(tail_fn, EigenvalueFunction) or tail_fn.a or tail_fn.b:
+            raise ParseError("sampled tail must be a plain mu-side family")
+        tail = tail_fn.family
+    grid = tuple(float(x) for x in _require(obj, "grid", kind))
+    values = tuple(float(v) for v in _require(obj, "values", kind))
+    return EigenvalueFunction(SampledMu(grid, values, tail))
+
+
+def _write_sampled(fam):
+    return {"grid": list(fam.grid), "values": list(fam.values),
+            "tail": None if fam.tail is None else family_to_dict(fam.tail)}
+
+
+def _read_spectrum(obj, kind):
+    return rearrange(SpectralData(_require(obj, "pairs", kind)))
+
+
+# kind -> (family class, reader, writer); a spectrum is read into a step
+# profile and written back as one, so it has no class or writer
+_KINDS = {
+    "power_log": _plain_kind(PowerLog),
+    "exponential": _plain_kind(Exponential, "alpha"),
+    "pure_power": _plain_kind(PurePower, "p"),
+    "step": _plain_kind(StepMu),
+    "g_step": (GStep, _read_g_step, _write_g_step),
+    "sampled": (SampledMu, _read_sampled, _write_sampled),
+    "spectrum": (None, _read_spectrum, None),
+}
+_KIND_OF = {cls: kind for kind, (cls, _, _) in _KINDS.items() if cls is not None}
+
+
 def family_from_dict(obj) -> EigenvalueFunction | GFunction:
     if not isinstance(obj, dict):
         raise ParseError("family description must be a JSON object")
     kind = _require(obj, "kind", "family")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ParseError(f"unknown family kind {kind!r}")
     try:
-        if kind == "power_log":
-            fam = PowerLog(
-                scale=float(obj.get("scale", 1.0)),
-                p=float(obj.get("p", 1.0)),
-                q=float(obj.get("q", 0.0)),
-            )
-            return EigenvalueFunction(fam)
-        if kind == "exponential":
-            return EigenvalueFunction(Exponential(alpha=float(_require(obj, "alpha", kind))))
-        if kind == "pure_power":
-            fam = PurePower(
-                p=float(_require(obj, "p", kind)),
-                scale=float(obj.get("scale", 1.0)),
-                cap=float(obj.get("cap", 1.0)),
-            )
-            return EigenvalueFunction(fam)
-        if kind == "step":
-            return EigenvalueFunction(
-                StepMu(
-                    tuple(float(b) for b in _require(obj, "breakpoints", kind)),
-                    tuple(float(v) for v in _require(obj, "values", kind)),
-                )
-            )
-        if kind == "g_step":
-            values = [
-                math.inf if v in ("inf", "Infinity", None) else float(v)
-                for v in _require(obj, "values", kind)
-            ]
-            tail = obj.get("tail", "hold")
-            if tail == "infinite" and not math.isinf(values[-1]):
-                values.append(math.inf)
-            horizon = obj.get("horizon")
-            integrable = obj.get("integrable")
-            return g_step(
-                tuple(float(b) for b in _require(obj, "breakpoints", kind)),
-                tuple(values),
-                horizon=None if horizon is None else float(horizon),
-                integrable=integrable,
-                label=str(obj.get("label", "")),
-            )
-        if kind == "sampled":
-            tail_obj = obj.get("tail")
-            tail = None
-            if tail_obj is not None:
-                tail_fn = family_from_dict(tail_obj)
-                if not isinstance(tail_fn, EigenvalueFunction) or tail_fn.a or tail_fn.b:
-                    raise ParseError("sampled tail must be a plain mu-side family")
-                tail = tail_fn.family
-            return EigenvalueFunction(
-                SampledMu(
-                    tuple(float(x) for x in _require(obj, "grid", kind)),
-                    tuple(float(v) for v in _require(obj, "values", kind)),
-                    tail,
-                )
-            )
-        if kind == "spectrum":
-            pairs = tuple(
-                (float(v), float(w)) for v, w in _require(obj, "pairs", kind)
-            )
-            return rearrange(SpectralData(pairs))
-    except ParseError:
-        raise
+        return _KINDS[kind][1](obj, kind)
     except SingTraceError:
         raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad '{kind}' description: {exc}") from exc
-    raise ParseError(f"unknown family kind {kind!r}")
 
 
 def family_to_dict(fn) -> dict:
@@ -135,33 +166,10 @@ def family_to_dict(fn) -> dict:
         fam = fn.family
     else:
         fam = fn
-    if isinstance(fam, PowerLog):
-        out = {"kind": "power_log", "scale": fam.scale, "p": fam.p, "q": fam.q}
-    elif isinstance(fam, Exponential):
-        out = {"kind": "exponential", "alpha": fam.alpha}
-    elif isinstance(fam, PurePower):
-        out = {"kind": "pure_power", "p": fam.p, "scale": fam.scale, "cap": fam.cap}
-    elif isinstance(fam, StepMu):
-        out = {"kind": "step", "breakpoints": list(fam.breakpoints), "values": list(fam.values)}
-    elif isinstance(fam, GStep):
-        vals = ["inf" if math.isinf(v) else v for v in fam.values]
-        out = {
-            "kind": "g_step",
-            "breakpoints": list(fam.breakpoints),
-            "values": vals,
-            "tail": "infinite" if fam.finite_rank else "hold",
-        }
-        if fam.horizon is not None:
-            out["horizon"] = fam.horizon
-        if fam.integrable is not None:
-            out["integrable"] = fam.integrable
-        if fam.label:
-            out["label"] = fam.label
-    elif isinstance(fam, SampledMu):
-        out = {"kind": "sampled", "grid": list(fam.grid), "values": list(fam.values)}
-        out["tail"] = None if fam.tail is None else family_to_dict(fam.tail)
-    else:
+    kind = _KIND_OF.get(type(fam))
+    if kind is None:
         raise ParseError(f"cannot serialize family {type(fam).__name__}")
+    out = {"kind": kind, **_KINDS[kind][2](fam)}
     out.update(shift_fields)
     return out
 

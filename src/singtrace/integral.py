@@ -229,25 +229,12 @@ def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
         raise ValueError("need 0 <= x1 <= x2")
     if x2 == x1:
         return 0.0
-    if mu.family.is_step_like:
-        xs = _step_edges(mu, x1, x2)
+    edges = mu.family.edges_x()
+    if edges is not None:
+        scale = math.exp(mu.a)
+        scaled = [e * scale for e in edges]
+        xs = sorted({x1, x2, *[e for e in scaled if x1 < e < x2]})
         # value on [a, b) is mu(a) by right continuity
         return math.fsum(mu(a) * (b - a) for a, b in zip(xs[:-1], xs[1:]))
     val, _ = quad(lambda x: mu(x), x1, x2, epsrel=QUAD_RTOL, epsabs=0.0, limit=200)
     return val
-
-
-def _step_edges(mu: EigenvalueFunction, x1: float, x2: float):
-    from .functions import GStep, SampledMu, StepMu
-
-    fam = mu.family
-    scale = math.exp(mu.a)
-    if isinstance(fam, StepMu):
-        edges = [b * scale for b in fam.breakpoints]
-    elif isinstance(fam, GStep):
-        edges = [math.exp(b) * scale for b in fam.breakpoints if b < 700.0]
-    elif isinstance(fam, SampledMu):
-        edges = [gpt * scale for gpt in fam.grid]
-    else:
-        edges = []
-    return sorted({x1, x2, *[e for e in edges if x1 < e < x2]})

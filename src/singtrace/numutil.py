@@ -29,12 +29,5 @@ def recip_extended(x):
     return 1.0 / x
 
 
-def log_grid(lo, hi, n):
-    """Geometrically spaced grid on [lo, hi], lo > 0."""
-    if lo <= 0 or hi <= lo:
-        raise ValueError("need 0 < lo < hi")
-    return np.exp(np.linspace(np.log(lo), np.log(hi), n))
-
-
 def as_float(x):
     return float(np.asarray(x))

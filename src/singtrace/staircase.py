@@ -203,6 +203,11 @@ def _condition_grid(s: StaircaseConstruction, horizon: float):
     return np.unique(np.concatenate([ss, extra, np.minimum(extra + 1e-9, horizon)]))
 
 
+def _slack(bound: np.ndarray) -> np.ndarray:
+    """A few ulps of the bound, at least 1e-12: steps and bound round apart."""
+    return np.fmax(1e-12, 4.0 * np.spacing(np.abs(bound)))
+
+
 def _first_permanent_index(ok: np.ndarray):
     """First index from which the mask stays true to the end, or None."""
     if not ok[-1]:
@@ -254,12 +259,14 @@ def verify_construction(
     norm_vals = gA.eval(ss)
 
     if s.variant == VANISHER:
-        envelope_ok = bool(np.all(stair_vals <= np.sqrt(norm_vals) + 1e-12))
+        bound = np.sqrt(norm_vals)
+        envelope_ok = bool(np.all(stair_vals <= bound + _slack(bound)))
         if not envelope_ok:
             raise VerificationFailed("envelope: staircase exceeds sqrt of the source")
         gap_fn = src_vals - stair_vals  # must exceed every c eventually
     else:
-        envelope_ok = bool(np.all(stair_vals >= norm_vals**2 - 1e-12))
+        bound = norm_vals**2
+        envelope_ok = bool(np.all(stair_vals >= bound - _slack(bound)))
         if not envelope_ok:
             raise VerificationFailed("envelope: staircase drops below the squared source")
         gap_fn = stair_vals - src_vals  # exclusion: source < c + staircase

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from singtrace.classify import (
 )
 from singtrace.errors import NotApplicable
 from singtrace.functions import (
+    PowerLog,
     exponential,
     g_inverse,
     g_transform,
@@ -114,6 +117,15 @@ def test_sampled_without_tail_is_undecided_on_integral_criteria():
     assert traceable_by_ratio(mu).traceable is None
 
 
+@pytest.mark.parametrize("p", [2.0, 0.5])
+def test_sampled_with_power_tail_is_not_traceable(p):
+    # past x = e^709 only the tail's own g stays finite
+    mu = sampled([0, 1, 2, 3], [1, 0.5, 0.3, 0.2], tail=PowerLog(p=p))
+    assert np.isfinite(g_transform(mu)(800.0))
+    for crit in (traceable_by_indices, traceable_by_liminf, traceable_by_ratio):
+        assert crit(mu).traceable is False, crit.__name__
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -125,6 +137,25 @@ def test_classify_p1():
     assert rep.traceable is True
     assert rep.agreement
     assert not rep.finite_rank
+
+
+def test_classify_reads_the_indices_once(monkeypatch):
+    # the package attribute singtrace.classify is the function, not the module
+    classify_module = importlib.import_module("singtrace.classify")
+    indices_module = importlib.import_module("singtrace.indices")
+
+    calls = []
+    real = indices_module.matuszewska
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "matuszewska", counted)
+    monkeypatch.setattr(indices_module, "matuszewska", counted)
+    rep = classify(power_log(p=1))
+    assert len(calls) == 1
+    assert rep.regular is True and rep.delta == 1.0
 
 
 def test_classify_exponential():

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from singtrace.cli import main
+from singtrace.errors import NonFinite
 from singtrace.functions import (
     GFunction,
     exponential,
@@ -69,6 +70,31 @@ def test_bad_descriptions_raise_parse_error():
         family_from_dict({"kind": "exponential"})  # alpha missing
     with pytest.raises(ParseError):
         family_from_dict([1, 2])
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "power_log", "p": "nan"}',
+    '{"kind": "exponential", "alpha": "nan"}',
+    '{"kind": "pure_power", "p": "inf"}',
+    '{"kind": "step", "breakpoints": [0, 1, 1e400], "values": [2, 1]}',
+    '{"kind": "g_step", "breakpoints": [0, "nan"], "values": [1, 2, 3]}',
+])
+def test_non_finite_descriptions_rejected(capsys, tmp_path, text):
+    with pytest.raises(NonFinite):
+        family_from_dict(json.loads(text))
+    path = tmp_path / "fam.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["inf,1", "nan,1"])
+def test_cli_rejects_non_finite_spectrum_rows(capsys, tmp_path, row):
+    path = tmp_path / "spectrum.csv"
+    path.write_text(f"3,1\n{row}\n")
+    assert main(["rearrange", str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
 
 
 def test_csv_spectrum_with_and_without_header(tmp_path):
@@ -257,3 +283,17 @@ def test_cli_help_mentions_alias():
     )
     assert res.returncode == 0
     assert "thm32" in res.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["indices", "--kind", "power_log", "--lambda", "2"],
+    ["ideal-check", "--kind", "power_log", "--horizon", "30"],
+    ["construct", "vanisher", "--kind", "pure_power", "--tol", "0.1"],
+    ["rearrange", "--kind", "power_log"],
+    ["classify", "--kind", "power_log", "--n-steps", "4"],
+    ["classify", "--no-such-flag"],
+])
+def test_cli_usage_errors_exit_1(capsys, argv):
+    # each subcommand takes only the flags its handler reads; 2 would mean undecided
+    assert main(argv) == 1
+    assert "usage" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from singtrace.errors import (
     NegativeValue,
+    NonFinite,
     NonpositiveLambda,
     NonpositiveWeight,
     NotInfinitesimal,
 )
 from singtrace.functions import (
     DistributionFunction,
+    Family,
     GStep,
+    PowerLog,
     SpectralData,
     StepMu,
     dilate,
@@ -25,9 +29,11 @@ from singtrace.functions import (
     power_log,
     pure_power,
     rearrange,
+    sampled,
     shift,
     step_mu,
 )
+from singtrace.ingest import ParseError, family_from_dict, family_to_dict
 
 E = math.e
 
@@ -300,6 +306,12 @@ def test_gstep_validation():
         GStep((1.0, 2.0), (0.0, 2.0, 1.0))  # decreasing
     g = GStep((1.0, 2.0), (0.0, 1.0, math.inf))
     assert g.finite_rank
+    with pytest.raises(NonFinite):
+        GStep((1.0, 2.0), (-math.inf, 1.0, 2.0))
+    with pytest.raises(NonFinite):
+        GStep((1.0, 2.0), (0.0, math.nan, 2.0))
+    with pytest.raises(NonFinite):
+        GStep((1.0, 2.0), (0.0, 1.0, 2.0), horizon=math.inf)
 
 
 def test_step_mu_trims_zero_tail():
@@ -319,3 +331,37 @@ def test_wrapper_is_immutable():
     mu = power_log(p=1)
     with pytest.raises(Exception):
         mu.a = 3.0
+
+
+# ---------------------------------------------------------------------------
+# the family interface
+
+FAMILIES = [
+    ("power_log", power_log(scale=2.0, p=1.5, q=0.5)),
+    ("exponential", exponential(0.7)),
+    ("pure_power", pure_power(p=2.0, scale=3.0, cap=1.5)),
+    ("step", step_mu([0, 1, 2.5], [4.0, 1.0])),
+    ("g_step", g_step([-3.0, 1.0, 9.0, 800.0], [0.5, 1.0, 2.0, 3.0, 4.0], horizon=900.0)),
+    ("sampled", sampled([0.0, 2.0, 4.0], [1.0, 0.5, 0.25], tail=PowerLog(p=2.0))),
+    ("pointwise_min", pointwise_min(g_transform(power_log(p=2)), g_transform(exponential(1.0)))),
+]
+
+
+@pytest.mark.parametrize("name, fn", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_family_interface(name, fn):
+    fam = fn.family
+    assert isinstance(fam, Family)
+    knots, edges = fam.knots_t(), fam.edges_x()
+    assert fam.is_step_like == (knots is not None) == (edges is not None)
+    if knots is not None:
+        # e^t overflows past t ~ 709, so x-space edges stop at t = 700
+        from_knots = [math.exp(k) for k in knots if k < 700.0]
+        positive = [e for e in edges if e > 0]
+        assert len(from_knots) == len(positive)
+        np.testing.assert_allclose(from_knots, positive, rtol=1e-12, atol=0.0)
+    if name == "pointwise_min":
+        with pytest.raises(ParseError):
+            family_to_dict(fn)
+        return
+    text = json.dumps(family_to_dict(fn))
+    assert json.dumps(family_to_dict(family_from_dict(json.loads(text)))) == text

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,16 @@ def test_finite_rank_policies():
     assert in_principal_ideal(fr, g_of(p=1)).verdict == MEMBER
     assert in_principal_ideal(g_of(p=1), fr).verdict == NON_MEMBER
     assert in_principal_ideal(fr, fr).verdict == MEMBER
+
+
+def test_finite_rank_witness_starts_at_the_last_jump():
+    samples = sampled([1.0, 2.0, 4.0], [1.0, 0.5, 0.0])
+    steps = step_mu([0, 1, 4], [2.0, 1.0])
+    for fr in (samples, steps):
+        assert in_principal_ideal(fr, g_of(p=1)).witness.t0 == math.log(4.0)
+        assert in_kernel(dilate(fr, 2.0), g_of(p=1)).witness.t0 == math.log(4.0) - math.log(2.0)
+    zero = dilate(step_mu([0], []), 2.0)
+    assert in_principal_ideal(zero, g_of(p=1)).witness.t0 == -math.log(2.0)
 
 
 def test_exponentials_generate_one_ideal():

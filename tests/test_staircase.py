@@ -156,6 +156,23 @@ def test_verify_rejects_wrong_envelope():
         verify_construction(corrupted)
 
 
+@pytest.mark.parametrize("source", [power_log(1.8974, 1.2434, 0.0), pure_power(1.0, 0.6077, 1.0)])
+def test_dominator_envelope_tolerates_rounding_only(source):
+    # these sources meet g_A^2 to within one ulp near 1e6 at t = 820
+    s = construct_dominator(g_transform(source), 40)
+    assert verify_construction(s).envelope_ok
+    lowered = tuple(v * (1.0 - 1e-9) for v in s.step_values)
+    with pytest.raises(VerificationFailed, match="envelope"):
+        verify_construction(dataclasses.replace(s, step_values=lowered))
+
+
+def test_vanisher_envelope_tolerates_rounding_only():
+    s = construct_vanisher(line_g(), 40)
+    raised = tuple(v * (1.0 + 1e-9) for v in s.step_values)
+    with pytest.raises(VerificationFailed, match="envelope"):
+        verify_construction(dataclasses.replace(s, step_values=raised))
+
+
 # ---------------------------------------------------------------------------
 # the staircases do what they were built for
 
