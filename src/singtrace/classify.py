@@ -16,6 +16,14 @@ positive evidence; stable minima bounded away from the target refute;
 everything else is honestly undecided.  Oscillating staircase profiles
 produce the recurrence pattern, convergent families the decay pattern.
 
+Both limit statements read the same log S: x mu(x)/S(x) is
+exp(s - g(s) - log S(s)) and S(lam x)/S(x) is exp(log S(s + log lam) -
+log S(s)).  So each window is sampled once (the grid ss, g(ss) and
+log S(ss)) and both criteria score that sample; the ratio adds log S at
+ss + log lam.  classify shares the sample between them whenever their
+horizons agree, which they do unless a trusted horizon ends within
+log lam of horizon_log.
+
 Verdicts are three-valued (True / False / None) because horizon limited
 data cannot settle a liminf.
 """
@@ -86,16 +94,12 @@ def _windows(T: float, n: int):
 
 def _window_grid(g: GFunction, lo: float, hi: float, points: int) -> np.ndarray:
     ss = np.linspace(lo, hi, points)
-    knots = g.family.knots_t()
-    if knots is not None:
-        # the near-target dips of a step profile start right at its jumps
-        extra = []
-        for raw in knots:
-            tau = raw + g.a
-            if lo <= tau <= hi:
-                extra.extend((tau, min(tau + 1e-9, hi), min(tau + 1.0, hi)))
-        if extra:
-            ss = np.unique(np.concatenate([ss, np.array(extra)]))
+    # the near-target dips of a step profile start right at its jumps
+    extra = []
+    for tau in g.knots_in(lo, hi):
+        extra.extend((tau, min(tau + 1e-9, hi), min(tau + 1.0, hi)))
+    if extra:
+        ss = np.unique(np.concatenate([ss, np.array(extra)]))
     return ss
 
 
@@ -113,13 +117,81 @@ def _limit_point_verdict(minima, theta):
     return None, "window minima neither recur nor separate cleanly"
 
 
-def _effective_horizon(g: GFunction, cfg: ClassifyConfig, slack: float = 0.0):
+def _tail_sample(mu: EigenvalueFunction, g: GFunction, T: float, cfg: ClassifyConfig):
+    """Per dyadic window below T, nearest the horizon first: the grid ss,
+    g(ss) and log S(ss), which both tail criteria read."""
+    sample = []
+    for lo, hi in _windows(T, cfg.n_windows):
+        ss = _window_grid(g, lo, hi, cfg.window_points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample.append((ss, g.eval(ss), log_S_grid(mu, ss)))
+    return sample
+
+
+def _window_min(values) -> float:
+    """The least value in a window, a NaN counting as inf.
+
+    A NaN should leave the verdict undecided instead; that change would
+    flip verdicts of exponential families and is listed in ROADMAP.md.
+    """
+    return float(np.min(np.where(np.isnan(values), np.inf, values)))
+
+
+def _liminf_minima(sample):
+    """Window minima of x mu(x) / S(x)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # group the large terms first: g and log S cancel to O(s) for
+        # rapidly decaying profiles and would swallow s otherwise
+        return [_window_min(np.exp(ss - (gs + ls))) for ss, gs, ls in sample]
+
+
+def _ratio_minima(mu: EigenvalueFunction, sample, lam: float):
+    """Window minima of |S(lam x) / S(x) - 1|."""
+    minima = []
+    for ss, _, ls in sample:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = np.exp(log_S_grid(mu, ss + math.log(lam)) - ls)
+            minima.append(_window_min(np.abs(ratio - 1.0)))
+    return minima
+
+
+def _tail_criterion(mu: EigenvalueFunction, cfg: ClassifyConfig, tc: TraceClassVerdict,
+                    lam: float | None, horizon: float | None,
+                    samples: dict) -> TraceabilityVerdict:
+    """The liminf criterion (lam None) or the ratio criterion at lam.
+
+    Ratio windows end log lam below a trusted horizon, as S(lam x) must
+    stay inside it.  samples maps a horizon T to its window sample, so
+    criteria on the same T share one.
+    """
+    crit = CRIT_LIMINF if lam is None else CRIT_RATIO
+    g = g_transform(mu)
+    if g.finite_rank:
+        return TraceabilityVerdict(False, crit, note="finite rank: singular traces vanish")
+    try:
+        tc.is_trace_class
+    except UndecidedBranch as exc:
+        return TraceabilityVerdict(None, crit, horizon_limited=True, note=str(exc))
     T = cfg.horizon_log
-    limited = False
     if g.horizon_t is not None:
-        T = min(T, g.horizon_t - slack)
-        limited = True
-    return T, limited
+        T = min(T, g.horizon_t - (0.0 if lam is None else math.log(lam)))
+    if horizon is not None:
+        T = min(T, math.log(horizon))
+    if T < 4.0:
+        return TraceabilityVerdict(None, crit, horizon_limited=True,
+                                   note="horizon too short for dyadic windows")
+    if T not in samples:
+        samples[T] = _tail_sample(mu, g, T, cfg)
+    if lam is None:
+        minima = _liminf_minima(samples[T])
+        evidence = {"window_minima": tuple(minima), "horizon_log": T, "theta": cfg.theta}
+    else:
+        minima = _ratio_minima(mu, samples[T], lam)
+        evidence = {"window_minima": tuple(minima), "lambda": lam,
+                    "horizon_log": T, "theta": cfg.theta}
+    verdict, why = _limit_point_verdict(minima, cfg.theta)
+    return TraceabilityVerdict(verdict, crit, evidence=evidence,
+                               horizon_limited=g.horizon_t is not None, note=why)
 
 
 # ---------------------------------------------------------------------------
@@ -150,47 +222,13 @@ def traceable_by_indices(fn, cfg: ClassifyConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# criterion 2: liminf of x mu(x) / S(x)
+# criteria 2 and 3: liminf of x mu(x) / S(x), and 1 as a limit point of S(lam x)/S(x)
 
 
 def traceable_by_liminf(fn, cfg: ClassifyConfig | None = None,
                         horizon: float | None = None) -> TraceabilityVerdict:
-    cfg = cfg or ClassifyConfig()
     mu = _as_mu(fn)
-    g = g_transform(mu)
-    if g.finite_rank:
-        return TraceabilityVerdict(False, CRIT_LIMINF,
-                                   note="finite rank: singular traces vanish")
-    try:
-        is_trace_class(mu).is_trace_class
-    except UndecidedBranch as exc:
-        return TraceabilityVerdict(None, CRIT_LIMINF, horizon_limited=True,
-                                   note=str(exc))
-    T, limited = _effective_horizon(g, cfg)
-    if horizon is not None:
-        T = min(T, math.log(horizon))
-    if T < 4.0:
-        return TraceabilityVerdict(None, CRIT_LIMINF, horizon_limited=True,
-                                   note="horizon too short for dyadic windows")
-    minima = []
-    for lo, hi in _windows(T, cfg.n_windows):
-        ss = _window_grid(g, lo, hi, cfg.window_points)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # group the large terms first: g and log S cancel to O(s) for
-            # rapidly decaying profiles and would swallow s otherwise
-            q = np.exp(ss - (g.eval(ss) + log_S_grid(mu, ss)))
-        q = np.where(np.isnan(q), np.inf, q)
-        minima.append(float(np.min(q)))
-    verdict, why = _limit_point_verdict(minima, cfg.theta)
-    return TraceabilityVerdict(
-        verdict, CRIT_LIMINF,
-        evidence={"window_minima": tuple(minima), "horizon_log": T, "theta": cfg.theta},
-        horizon_limited=limited, note=why,
-    )
-
-
-# ---------------------------------------------------------------------------
-# criterion 3: 1 as a limit point of S(lam x)/S(x)
+    return _tail_criterion(mu, cfg or ClassifyConfig(), is_trace_class(mu), None, horizon, {})
 
 
 def traceable_by_ratio(fn, lam: float | None = None,
@@ -201,36 +239,7 @@ def traceable_by_ratio(fn, lam: float | None = None,
     if lam <= 1:
         raise ValueError("lam must exceed 1")
     mu = _as_mu(fn)
-    g = g_transform(mu)
-    if g.finite_rank:
-        return TraceabilityVerdict(False, CRIT_RATIO,
-                                   note="finite rank: singular traces vanish")
-    try:
-        is_trace_class(mu).is_trace_class
-    except UndecidedBranch as exc:
-        return TraceabilityVerdict(None, CRIT_RATIO, horizon_limited=True,
-                                   note=str(exc))
-    T, limited = _effective_horizon(g, cfg, slack=math.log(lam))
-    if horizon is not None:
-        T = min(T, math.log(horizon))
-    if T < 4.0:
-        return TraceabilityVerdict(None, CRIT_RATIO, horizon_limited=True,
-                                   note="horizon too short for dyadic windows")
-    minima = []
-    for lo, hi in _windows(T, cfg.n_windows):
-        ss = _window_grid(g, lo, hi, cfg.window_points)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = np.exp(log_S_grid(mu, ss + math.log(lam)) - log_S_grid(mu, ss))
-        dist = np.abs(ratio - 1.0)
-        dist = np.where(np.isnan(dist), np.inf, dist)
-        minima.append(float(np.min(dist)))
-    verdict, why = _limit_point_verdict(minima, cfg.theta)
-    return TraceabilityVerdict(
-        verdict, CRIT_RATIO,
-        evidence={"window_minima": tuple(minima), "lambda": lam,
-                  "horizon_log": T, "theta": cfg.theta},
-        horizon_limited=limited, note=why,
-    )
+    return _tail_criterion(mu, cfg, is_trace_class(mu), lam, horizon, {})
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +284,9 @@ def classify(fn, cfg: ClassifyConfig | None = None) -> ClassificationReport:
     rep = matuszewska(fn, cfg.index_config)
     regular, delta = _regularity(rep, cfg.regular_tol)
     v_idx = traceable_by_indices(fn, cfg, report=rep)
-    v_lim = traceable_by_liminf(fn, cfg)
-    v_rat = traceable_by_ratio(fn, None, cfg)
+    samples = {}  # one window sample per distinct horizon
+    v_lim = _tail_criterion(mu, cfg, tc, None, None, samples)
+    v_rat = _tail_criterion(mu, cfg, tc, cfg.ratio_lambda, None, samples)
     decided = {v.traceable for v in (v_idx, v_lim, v_rat) if v.traceable is not None}
     return ClassificationReport(
         trace_class=tc,

@@ -281,7 +281,7 @@ def _cmd_rearrange(args) -> int:
         "command": "rearrange",
         "profile": family_to_dict(fn),
         "rank": fn.rank,
-        "mass": fn.family.mass() if hasattr(fn.family, "mass") else None,
+        "mass": fn.family.mass(),
     }
     _emit(report, args)
     return EXIT_OK

@@ -659,6 +659,25 @@ class SampledMu(Family):
     def edges_x(self):
         return self.grid
 
+    @property
+    def _starts(self):
+        # values[0] holds from x = 0, values[i] from grid[i] on
+        return (0.0,) + self.grid[1:]
+
+    @property
+    def rank(self):
+        """Where mu vanishes from on; known only without a tail model."""
+        if self.tail is not None or not self.finite_rank:
+            return None
+        return self._starts[self.values.index(0.0)]
+
+    def mass(self):
+        """The integral of mu; known only where the rank is."""
+        if self.rank is None:
+            return None
+        s = self._starts
+        return math.fsum(v * (b - a) for v, a, b in zip(self.values, s, s[1:]))
+
     @cached_property
     def _grid(self):
         return np.asarray(self.grid)
@@ -790,6 +809,16 @@ class _View:
     def horizon_t(self):
         h = self.family.horizon_t
         return None if h is None else h + self.a
+
+    @property
+    def knots_t(self):
+        """The family's jumps in t under the shift; None for a family without jumps."""
+        knots = self.family.knots_t()
+        return None if knots is None else tuple(k + self.a for k in knots)
+
+    def knots_in(self, lo, hi):
+        """The shifted jumps inside [lo, hi]."""
+        return [k for k in self.knots_t or () if lo <= k <= hi]
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,8 @@ def _tail_grid(ga: GFunction, gb: GFunction, cfg: IdealConfig):
     ts = np.linspace(lo, T, cfg.grid_points)
     extra = []
     for g in (ga, gb):
-        knots = g.family.knots_t()
-        if knots is not None:
-            for raw in knots:
-                tau = raw + g.a
-                if lo <= tau <= T:
-                    extra.extend((tau, min(tau + 1.0, T)))
+        for tau in g.knots_in(lo, T):
+            extra.extend((tau, min(tau + 1.0, T)))
     if extra:
         ts = np.unique(np.concatenate([ts, np.array(extra)]))
     return ts, T
@@ -131,39 +127,86 @@ def _threshold_ladder(gaps: np.ndarray, ts: np.ndarray, cs) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# principal ideal membership
+# membership: one front end for the ideal and its kernel
 
 
 def in_principal_ideal(ga, gb, cfg: IdealConfig | None = None) -> IdealDecision:
     """Is the profile behind ga in the principal ideal generated by gb?"""
+    return _decide(ga, gb, cfg, kernel=False)
+
+
+def in_kernel(ga, gb, cfg: IdealConfig | None = None) -> IdealDecision:
+    """Is the profile behind ga in the kernel of the ideal generated by gb?
+
+    Membership requires the shifted gap to exceed every constant from
+    some point on, so bounded gaps refute it even when the ideal
+    membership holds.
+    """
+    return _decide(ga, gb, cfg, kernel=True)
+
+
+def _decide(ga, gb, cfg, kernel) -> IdealDecision:
+    """Finite rank exits and the slope refutations both decisions share.
+
+    A growth deficit keeps ga out of the ideal, so out of its kernel too;
+    what is left goes to the exact or the horizon decision of each.
+    """
     ga, gb = as_g(ga), as_g(gb)
     cfg = cfg or IdealConfig()
-
     if ga.finite_rank:
         return IdealDecision(
             MEMBER, "exact",
             witness=ShiftWitness(0.0, 0.0, t0=_rank_t(ga), horizon=math.inf, n_points=0),
-            note="finite rank profiles lie in every ideal",
+            note=f"finite rank profiles lie in every {'kernel' if kernel else 'ideal'}",
         )
     if gb.finite_rank:
-        return IdealDecision(
-            NON_MEMBER, "exact",
-            note="finite rank base: its ideal is the finite rank ideal",
-        )
+        note = "finite rank base" if kernel else "finite rank base: its ideal is the finite rank ideal"
+        return IdealDecision(NON_MEMBER, "exact", note=note)
 
     ts, T = _tail_grid(ga, gb, cfg)
     pa, pb = ga.profile, gb.profile
     if pa is not None and pb is not None:
-        return _exact_ideal(ga, gb, pa, pb, ts, T)
-    return _horizon_ideal(ga, gb, ts, T, cfg)
+        order = _profile_order(pa, pb)
+        if order == "lt":
+            return _refuted("exact", _exact_slope(pa), _exact_slope(pb),
+                            detail="no shift repairs a growth rate deficit")
+        return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T, cfg)
+    sa, sb = _fit_slope(ga, ts), _fit_slope(gb, ts)
+    if sa < sb - cfg.slope_margin:
+        return _refuted("horizon", sa, sb, window=(float(ts[0]), float(ts[-1])))
+    return (_horizon_kernel if kernel else _horizon_ideal)(ga, gb, sa, sb, ts, T, cfg)
+
+
+def _member(mode, ts, T, a=0.0, b=0.0, ladder=(), note="") -> IdealDecision:
+    """MEMBER, witnessed by the shift (a, b) checked on the grid ts up to T."""
+    witness = ShiftWitness(a, b, t0=float(ts[0]), horizon=T, n_points=len(ts),
+                           thresholds=ladder)
+    return IdealDecision(MEMBER, mode, witness=witness, note=note)
+
+
+def _refuted(mode, slope_a, slope_b, window=(), detail="") -> IdealDecision:
+    """NON_MEMBER by a slope deficit: exact slopes, or slopes fitted on window."""
+    basis = "exact" if mode == "exact" else "fitted"
+    return IdealDecision(NON_MEMBER, mode,
+                         refutation=SlopeCertificate(slope_a, slope_b, basis, window, detail))
+
+
+def _exact_slope(p) -> float:
+    """The slope of an exact profile; exponential growth beats every slope."""
+    return p.slope if p.kind == LINLOG else math.inf
 
 
 def _rank_t(g: GFunction) -> float:
-    """Where g turns infinite: the last jump (0 for the zero profile)."""
-    knots = g.family.knots_t()
+    """Where g turns infinite: the first jump past which g = +inf."""
+    knots = g.knots_t
     if knots is None:
         return 0.0
-    return (knots[-1] if knots else 0.0) + g.a
+    # g is constant between jumps: probe each one halfway to the next
+    nexts = knots[1:] + tuple(k + 2.0 for k in knots[-1:])
+    for tau, nxt in zip(knots, nexts):
+        if math.isinf(g(0.5 * (tau + nxt))):
+            return tau
+    return g.a  # the zero profile: g = +inf from the start
 
 
 def _profile_order(pa, pb):
@@ -182,156 +225,49 @@ def _profile_order(pa, pb):
     return "eq_const"
 
 
-def _exact_ideal(ga, gb, pa, pb, ts, T) -> IdealDecision:
-    order = _profile_order(pa, pb)
-    if order == "lt":
-        return IdealDecision(
-            NON_MEMBER, "exact",
-            refutation=SlopeCertificate(pa.slope if pa.kind == LINLOG else math.inf,
-                                        pb.slope if pb.kind == LINLOG else math.inf,
-                                        basis="exact",
-                                        detail="no shift repairs a growth rate deficit"),
-        )
+def _exact_ideal(ga, gb, pa, pb, order, ts, T, cfg) -> IdealDecision:
     if order == "exp_pair":
         a = math.log(pb.rate / pa.rate)
         gaps = ga.eval(ts) - gb.eval(ts - a)
-        b = min(0.0, float(np.min(gaps)))
-        return IdealDecision(
-            MEMBER, "exact",
-            witness=ShiftWitness(a, b, t0=float(ts[0]), horizon=T, n_points=len(ts)),
-            note="exponential profiles generate one ideal",
-        )
-    gaps = ga.eval(ts) - gb.eval(ts)
-    min_gap = float(np.min(gaps))
+        return _member("exact", ts, T, a, min(0.0, float(np.min(gaps))),
+                       note="exponential profiles generate one ideal")
+    min_gap = float(np.min(ga.eval(ts) - gb.eval(ts)))
     if order == "gt":
-        b = 0.0 if min_gap >= 0.0 else min_gap - 1e-9
-        return IdealDecision(
-            MEMBER, "exact",
-            witness=ShiftWitness(0.0, b, t0=float(ts[0]), horizon=T, n_points=len(ts)),
-        )
+        return _member("exact", ts, T, b=0.0 if min_gap >= 0.0 else min_gap - 1e-9)
     # same slope and log term: the gap converges to the constant difference
-    limit = pa.const - pb.const
-    b = min(min_gap, limit) - 0.5
-    return IdealDecision(
-        MEMBER, "exact",
-        witness=ShiftWitness(0.0, b, t0=float(ts[0]), horizon=T, n_points=len(ts)),
-        note="equal growth: bounded gap absorbed by the vertical shift",
-    )
+    return _member("exact", ts, T, b=min(min_gap, pa.const - pb.const) - 0.5,
+                   note="equal growth: bounded gap absorbed by the vertical shift")
 
 
-def _horizon_ideal(ga, gb, ts, T, cfg) -> IdealDecision:
-    sa, sb = _fit_slope(ga, ts), _fit_slope(gb, ts)
-    window = (float(ts[0]), float(ts[-1]))
-    if sa < sb - cfg.slope_margin:
-        return IdealDecision(
-            NON_MEMBER, "horizon",
-            refutation=SlopeCertificate(sa, sb, basis="fitted", window=window),
-        )
-    best = None
+def _horizon_ideal(ga, gb, sa, sb, ts, T, cfg) -> IdealDecision:
+    ga_ts = ga.eval(ts)
     for a in np.concatenate([[0.0], np.linspace(-cfg.a_max, cfg.a_max, cfg.a_count)]):
-        gaps = ga.eval(ts) - gb.eval(ts - a)
-        if not np.all(np.isfinite(gaps)):
-            continue
-        b = float(np.min(gaps))
-        stable = _gap_trend_stable(gaps)
-        if stable:
-            best = (float(a), b if b < 0 else 0.0)
-            break
-    if best is not None:
-        a, b = best
-        return IdealDecision(
-            MEMBER, "horizon",
-            witness=ShiftWitness(a, b, t0=float(ts[0]), horizon=T, n_points=len(ts)),
-            note="verified on the trusted horizon only",
-        )
+        gaps = ga_ts - gb.eval(ts - a)
+        if np.all(np.isfinite(gaps)) and _gap_trend_stable(gaps):
+            b = float(np.min(gaps))
+            return _member("horizon", ts, T, float(a), b if b < 0 else 0.0,
+                           note="verified on the trusted horizon only")
     return IdealDecision(
         UNDECIDED, "horizon",
         note=f"fitted slopes {sa:.4g} vs {sb:.4g}: gap drifts down without a slope margin",
     )
 
 
-# ---------------------------------------------------------------------------
-# kernel membership
+def _exact_kernel(ga, gb, pa, pb, order, ts, T, cfg) -> IdealDecision:
+    if order == "eq_const":
+        # same slope and log term (a larger log term orders the pair "gt")
+        return _refuted("exact", pa.slope, pb.slope,
+                        detail="equal growth: the shifted gap stays bounded")
+    a, note = 0.0, ""
+    if order == "exp_pair":  # shift the rate strictly below
+        a = math.log(pb.rate / pa.rate) + 1.0
+        note = "a horizontal shift scales the rate below any multiple"
+    gaps = ga.eval(ts) - gb.eval(ts - a)
+    ladder = _threshold_ladder(gaps, ts, cfg.kernel_thresholds)
+    return _member("exact", ts, T, a, ladder=ladder, note=note)
 
 
-def in_kernel(ga, gb, cfg: IdealConfig | None = None) -> IdealDecision:
-    """Is the profile behind ga in the kernel of the ideal generated by gb?
-
-    Membership requires the shifted gap to exceed every constant from
-    some point on, so bounded gaps refute it even when the ideal
-    membership holds.
-    """
-    ga, gb = as_g(ga), as_g(gb)
-    cfg = cfg or IdealConfig()
-
-    if ga.finite_rank:
-        return IdealDecision(
-            MEMBER, "exact",
-            witness=ShiftWitness(0.0, 0.0, t0=_rank_t(ga), horizon=math.inf, n_points=0),
-            note="finite rank profiles lie in every kernel",
-        )
-    if gb.finite_rank:
-        return IdealDecision(NON_MEMBER, "exact", note="finite rank base")
-
-    ts, T = _tail_grid(ga, gb, cfg)
-    pa, pb = ga.profile, gb.profile
-    if pa is not None and pb is not None:
-        return _exact_kernel(ga, gb, pa, pb, ts, T, cfg)
-    return _horizon_kernel(ga, gb, ts, T, cfg)
-
-
-def _exact_kernel(ga, gb, pa, pb, ts, T, cfg) -> IdealDecision:
-    order = _profile_order(pa, pb)
-    if order == "lt":
-        return IdealDecision(
-            NON_MEMBER, "exact",
-            refutation=SlopeCertificate(getattr(pa, "slope", math.inf),
-                                        getattr(pb, "slope", math.inf),
-                                        basis="exact"),
-        )
-    if order == "exp_pair":
-        a = math.log(pb.rate / pa.rate) + 1.0  # shifted rate strictly below
-        gaps = ga.eval(ts) - gb.eval(ts - a)
-        ladder = _threshold_ladder(gaps, ts, cfg.kernel_thresholds)
-        return IdealDecision(
-            MEMBER, "exact",
-            witness=ShiftWitness(a, 0.0, t0=float(ts[0]), horizon=T,
-                                 n_points=len(ts), thresholds=ladder),
-            note="a horizontal shift scales the rate below any multiple",
-        )
-    if order == "gt":
-        gaps = ga.eval(ts) - gb.eval(ts)
-        ladder = _threshold_ladder(gaps, ts, cfg.kernel_thresholds)
-        return IdealDecision(
-            MEMBER, "exact",
-            witness=ShiftWitness(0.0, 0.0, t0=float(ts[0]), horizon=T,
-                                 n_points=len(ts), thresholds=ladder),
-        )
-    # equal slope: only the log term can still force divergence
-    if pa.log_coeff > pb.log_coeff:
-        gaps = ga.eval(ts) - gb.eval(ts)
-        ladder = _threshold_ladder(gaps, ts, cfg.kernel_thresholds)
-        return IdealDecision(
-            MEMBER, "exact",
-            witness=ShiftWitness(0.0, 0.0, t0=float(ts[0]), horizon=T,
-                                 n_points=len(ts), thresholds=ladder),
-            note="divergent logarithmic gap",
-        )
-    return IdealDecision(
-        NON_MEMBER, "exact",
-        refutation=SlopeCertificate(pa.slope, pb.slope, basis="exact",
-                                    detail="equal growth: the shifted gap stays bounded"),
-    )
-
-
-def _horizon_kernel(ga, gb, ts, T, cfg) -> IdealDecision:
-    sa, sb = _fit_slope(ga, ts), _fit_slope(gb, ts)
-    window = (float(ts[0]), float(ts[-1]))
-    if sa < sb - cfg.slope_margin:
-        return IdealDecision(
-            NON_MEMBER, "horizon",
-            refutation=SlopeCertificate(sa, sb, basis="fitted", window=window),
-        )
+def _horizon_kernel(ga, gb, sa, sb, ts, T, cfg) -> IdealDecision:
     gaps = ga.eval(ts) - gb.eval(ts)
     ladder = _threshold_ladder(gaps, ts, cfg.kernel_thresholds)
     crossed = [t0 for _, t0, ok in ladder if ok]
@@ -339,12 +275,8 @@ def _horizon_kernel(ga, gb, ts, T, cfg) -> IdealDecision:
     increasing = full and crossed[-1] > crossed[0]
     slope_dominant = sa > sb + cfg.slope_margin
     if (slope_dominant and ladder[0][2]) or (full and increasing):
-        return IdealDecision(
-            MEMBER, "horizon",
-            witness=ShiftWitness(0.0, 0.0, t0=float(ts[0]), horizon=T,
-                                 n_points=len(ts), thresholds=ladder),
-            note="verified on the trusted horizon only",
-        )
+        return _member("horizon", ts, T, ladder=ladder,
+                       note="verified on the trusted horizon only")
     if not slope_dominant and abs(sa - sb) <= cfg.slope_margin and not ladder[-1][2]:
         return IdealDecision(
             UNDECIDED, "horizon",

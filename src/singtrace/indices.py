@@ -128,15 +128,10 @@ def _window_extremes(g: GFunction, h: float, w_lo: float, w_hi: float, t_step: f
     breaks where t or t+h crosses a jump, so scanning those critical
     points gives the exact extremes.
     """
-    knots = g.family.knots_t()
+    knots = g.knots_t
     if knots is not None:
-        crits = {w_lo, w_hi}
-        for raw in knots:
-            tau = raw + g.a
-            if w_lo <= tau <= w_hi:
-                crits.add(tau)
-            if w_lo <= tau - h <= w_hi:
-                crits.add(tau - h)
+        crits = {w_lo, w_hi, *g.knots_in(w_lo, w_hi)}
+        crits.update(tau - h for tau in knots if w_lo <= tau - h <= w_hi)
         ts = np.array(sorted(crits))
     else:
         # cap the scan so user-supplied huge horizons stay tractable

@@ -158,6 +158,41 @@ def test_classify_reads_the_indices_once(monkeypatch):
     assert rep.regular is True and rep.delta == 1.0
 
 
+def test_classify_computes_each_window_once(monkeypatch):
+    classify_module = importlib.import_module("singtrace.classify")
+    integral_module = importlib.import_module("singtrace.integral")
+    calls = []
+    real_grid = integral_module.log_S_grid
+    real_tc = integral_module.is_trace_class
+
+    def counted_grid(*args, **kwargs):
+        calls.append("log_S_grid")
+        return real_grid(*args, **kwargs)
+
+    def counted_tc(*args, **kwargs):
+        calls.append("is_trace_class")
+        return real_tc(*args, **kwargs)
+
+    line = g_transform(pure_power(p=1))
+    # power_log(p=1) has no horizon: both criteria read one sample per window
+    # (4 grids) and the ratio adds 4 shifted ones.  The dominator is trusted
+    # to t = 820, so its ratio windows end log 2 earlier on a sample of their own.
+    cases = [(power_log(p=1), 8), (construct_dominator(line, 40).g(), 12)]
+    for fn, grids in cases:
+        calls.clear()
+        monkeypatch.setattr(classify_module, "log_S_grid", counted_grid)
+        monkeypatch.setattr(classify_module, "is_trace_class", counted_tc)
+        rep = classify(fn)
+        monkeypatch.undo()
+        assert calls.count("log_S_grid") == grids
+        assert calls.count("is_trace_class") == 1
+        # the shared sample gives exactly what each criterion finds alone
+        alone_lim, alone_rat = traceable_by_liminf(fn), traceable_by_ratio(fn)
+        assert rep.by_liminf == alone_lim and rep.by_ratio == alone_rat
+        assert rep.by_liminf.evidence["window_minima"] == alone_lim.evidence["window_minima"]
+        assert rep.by_ratio.evidence["window_minima"] == alone_rat.evidence["window_minima"]
+
+
 def test_classify_exponential():
     rep = classify(exponential(1.0))
     assert rep.trace_class.verdict == "trace_class"

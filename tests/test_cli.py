@@ -21,6 +21,7 @@ from singtrace.ingest import (
     load_input,
     spectrum_from_csv,
 )
+from singtrace.integral import mu_mass
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +219,18 @@ def test_cli_rearrange_csv(capsys, tmp_path):
     assert code == 0
     assert out["profile"]["values"] == [5.0]
     assert out["mass"] == 10.0
+
+
+def test_cli_rearrange_finite_rank_samples(capsys, tmp_path):
+    # mu is 1 on [0, 2), 0.5 on [2, 4) and 0 from x = 4 on
+    f = write_family(tmp_path, "samples.json",
+                     {"kind": "sampled", "grid": [1, 2, 4], "values": [1, 0.5, 0]})
+    code = main(["rearrange", f, "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["rank"] == 4.0
+    assert out["mass"] == 3.0
+    assert mu_mass(load_input(f), 0.0, 10.0) == 3.0
 
 
 def test_cli_indices_reports_parameters(capsys):

@@ -365,3 +365,25 @@ def test_family_interface(name, fn):
         return
     text = json.dumps(family_to_dict(fn))
     assert json.dumps(family_to_dict(family_from_dict(json.loads(text)))) == text
+
+
+def test_view_knots_follow_the_shift():
+    g = shift(g_step([1.0, 3.0], [0.0, 1.0, 2.0]), 0.5, 0.0)
+    assert g.knots_t == (1.5, 3.5)
+    assert g.knots_in(1.0, 3.5) == [1.5, 3.5]
+    assert g.knots_in(2.0, 3.0) == []
+    smooth = g_transform(power_log(p=1))
+    assert smooth.knots_t is None and smooth.knots_in(0.0, 10.0) == []
+
+
+def test_sampled_rank_and_mass():
+    # values[0] holds from x = 0, values[i] from grid[i] on
+    fam = sampled([1.0, 2.0, 4.0], [1.0, 0.5, 0.0]).family
+    assert (fam.rank, fam.mass()) == (4.0, 3.0)
+    assert dilate(sampled([1.0, 2.0, 4.0], [1.0, 0.5, 0.0]), 2.0).rank == 2.0
+    zero = sampled([1.0, 2.0], [0.0, 0.0]).family
+    assert (zero.rank, zero.mass()) == (0.0, 0.0)
+    # infinite rank, or a tail model, leave both unknown
+    for fam in (sampled([1.0, 2.0], [1.0, 0.5]).family,
+                sampled([1.0, 2.0], [1.0, 0.0], tail=StepMu((0.0, 3.0), (0.1,))).family):
+        assert (fam.rank, fam.mass()) == (None, None)

@@ -84,6 +84,17 @@ def test_finite_rank_witness_starts_at_the_last_jump():
     assert in_principal_ideal(zero, g_of(p=1)).witness.t0 == -math.log(2.0)
 
 
+def test_finite_rank_witness_starts_where_g_turns_infinite():
+    # mu vanishes from x = 2 although the grid runs on to 4
+    trailing_zeros = sampled([1.0, 2.0, 4.0], [1.0, 0.0, 0.0])
+    assert in_principal_ideal(trailing_zeros, g_of(p=1)).witness.t0 == math.log(2.0)
+    assert in_kernel(trailing_zeros, g_of(p=1)).witness.t0 == math.log(2.0)
+    # g is +inf from its first breakpoint on
+    stair = g_step([1.0, 2.0], [0.0, math.inf, math.inf])
+    assert in_principal_ideal(stair, g_of(p=1)).witness.t0 == 1.0
+    assert in_kernel(shift(stair, 0.5, 0.0), g_of(p=1)).witness.t0 == 1.5
+
+
 def test_exponentials_generate_one_ideal():
     a, b = g_transform(exponential(1.0)), g_transform(exponential(3.0))
     assert in_principal_ideal(a, b).verdict == MEMBER
@@ -103,6 +114,17 @@ def test_kernel_examples():
     assert in_kernel(g, g).verdict == NON_MEMBER
     # scalar multiple: gap is log 2, bounded
     assert in_kernel(g_of(p=1, scale=2.0), g_of(p=1, scale=1.0)).verdict == NON_MEMBER
+
+
+def test_kernel_refutation_by_an_exponential_base():
+    # an exponential outgrows every slope: the kernel certificate matches
+    # the ideal's instead of reading the profile's unused slope field
+    a, b = g_of(p=1), g_transform(exponential(1.0))
+    for dec in (in_principal_ideal(a, b), in_kernel(a, b)):
+        assert dec.verdict == NON_MEMBER
+        cert = dec.refutation
+        assert (cert.slope_a, cert.slope_b, cert.basis) == (1.0, math.inf, "exact")
+        assert cert.detail == "no shift repairs a growth rate deficit"
 
 
 def test_kernel_subset_of_ideal_on_suite(symbolic_suite):
