@@ -41,6 +41,10 @@ class ZeroDenominator(SingTraceError):
     """The profile vanishes before the evaluation point."""
 
 
+class QuadratureUnconverged(SingTraceError):
+    """A quadrature panel failed its error test at the bisection cap."""
+
+
 class HorizonTooShort(SingTraceError):
     """The tail window is too short for the requested increment lengths."""
 

@@ -100,15 +100,19 @@ def _tail_grid(ga: GFunction, gb: GFunction, cfg: IdealConfig):
 
 
 def _fit_slope(g: GFunction, ts: np.ndarray) -> float:
+    """Least-squares slope of g on ts: +inf where g is +inf on all of ts
+    (it outgrows every line), nan with fewer than two finite values else."""
     ys = g.eval(ts)
     keep = np.isfinite(ys)
+    if np.count_nonzero(keep) < 2:
+        return math.inf if np.all(ys == math.inf) else math.nan
     return float(np.polyfit(ts[keep], ys[keep], 1)[0])
 
 
 def _gap_trend_stable(gaps: np.ndarray) -> bool:
     n = len(gaps) // 2
     m1, m2 = float(np.min(gaps[:n])), float(np.min(gaps[n:]))
-    return m2 >= m1 - max(0.1, 0.02 * (abs(m1) + 1.0))
+    return m2 == math.inf or m2 >= m1 - max(0.1, 0.02 * (abs(m1) + 1.0))
 
 
 def _threshold_ladder(gaps: np.ndarray, ts: np.ndarray, cs) -> tuple:
@@ -172,6 +176,8 @@ def _decide(ga, gb, cfg, kernel) -> IdealDecision:
                             detail="no shift repairs a growth rate deficit")
         return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T, cfg)
     sa, sb = _fit_slope(ga, ts), _fit_slope(gb, ts)
+    if math.isnan(sa) or math.isnan(sb):
+        return IdealDecision(UNDECIDED, "horizon", note="too few finite values of g to fit a slope")
     if sa < sb - cfg.slope_margin:
         return _refuted("horizon", sa, sb, window=(float(ts[0]), float(ts[-1])))
     return (_horizon_kernel if kernel else _horizon_ideal)(ga, gb, sa, sb, ts, T, cfg)
@@ -243,7 +249,7 @@ def _horizon_ideal(ga, gb, sa, sb, ts, T, cfg) -> IdealDecision:
     ga_ts = ga.eval(ts)
     for a in np.concatenate([[0.0], np.linspace(-cfg.a_max, cfg.a_max, cfg.a_count)]):
         gaps = ga_ts - gb.eval(ts - a)
-        if np.all(np.isfinite(gaps)) and _gap_trend_stable(gaps):
+        if np.all(gaps > -math.inf) and _gap_trend_stable(gaps):  # +inf: ga overflowed
             b = float(np.min(gaps))
             return _member("horizon", ts, T, float(a), b if b < 0 else 0.0,
                            note="verified on the trusted horizon only")

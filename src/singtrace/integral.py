@@ -10,9 +10,13 @@ S(lam x)/S(x) and x mu(x)/S(x) feed the traceability criteria; both are
 computed in the log domain (s = log x) so that staircase profiles with
 astronomically large breakpoints never overflow.
 
-Closed forms are used wherever a family carries one; the fallback is
-adaptive quadrature (scipy) over log-spaced panels with relative
-tolerance 1e-10 and interval doubling for tails.
+Closed forms are used wherever a family carries one.  The fallback is a
+20-point Gauss-Legendre rule on e^(s - g(s)) over panels of width 20 in
+s (in x for the head over (0, 1]), each panel shifted by its largest
+exponent.  Every panel's sum is checked against the sum over its halves,
+failing panels are bisected, and a panel that never passes raises
+QuadratureUnconverged; the family's jumps are panel edges.  The down
+branch adds panels until one changes the sum by less than 1e-14.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import SupportExceeded, UndecidedBranch, ZeroDenominator
+from .errors import QuadratureUnconverged, SupportExceeded, UndecidedBranch, ZeroDenominator
 from .functions import EigenvalueFunction, GFunction, g_transform
 from .numutil import as_float, logaddexp
 
@@ -31,8 +34,12 @@ TRACE_CLASS = "trace_class"
 NOT_TRACE_CLASS = "not_trace_class"
 UNDECIDED = "undecided"
 
-QUAD_RTOL = 1e-10
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_TOL = 1e-13  # halves test, relative
+_DEPTH = 30  # bisections of one panel
+_MAX_SPLIT = 4096  # panels failing at once: past this the fault is not local
 _PANEL = 20.0  # panel width in s = log x for the quadrature fallback
+_TAIL_PANELS, _TAIL_BATCH = 200, 8  # down branch: panels at most, panels per rule call
 
 
 @dataclass(frozen=True)
@@ -60,56 +67,119 @@ def is_trace_class(mu: EigenvalueFunction) -> TraceClassVerdict:
 
 
 # ---------------------------------------------------------------------------
-# quadrature fallback, entirely in s = log x coordinates
+# quadrature fallback: a vectorized Gauss-Legendre rule in the log domain
 
 
-def _panel_log_mass(g: GFunction, r1: float, r2: float) -> float:
-    """log integral_{r1}^{r2} e^(r - g(r)) dr via scaled quadrature."""
-    if r2 <= r1:
-        return -math.inf
-    probes = np.linspace(r1, r2, 7)
-    expo = probes - g.eval(probes)
-    k = float(np.max(expo))
-    if k == -math.inf:
-        return -math.inf
+def _log_rule(log_f, lo, hi):
+    """log of the Gauss-Legendre sum of e^log_f over each panel [lo, hi].
 
-    def f(r):
-        return math.exp(min(r - g(r) - k, 50.0))
-
-    val, _ = quad(f, r1, r2, epsrel=QUAD_RTOL, epsabs=0.0, limit=200)
-    if val <= 0:
-        return -math.inf
-    return k + math.log(val)
+    One log_f call covers the nodes of every panel; each panel is
+    shifted by its own largest exponent, so no sum overflows.
+    """
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    vals = log_f(nodes.ravel()).reshape(nodes.shape)
+    k = np.max(vals, axis=1, initial=-math.inf)
+    if np.any(np.isnan(k)):
+        raise QuadratureUnconverged("the integrand is nan inside a panel")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        total = np.log(half * np.sum(_WEIGHTS * np.exp(vals - k[:, None]), axis=1))
+    return np.where(k == -math.inf, -math.inf, k + total)
 
 
-def _quad_log_S_up(mu: EigenvalueFunction, s: float) -> float:
-    g = g_transform(mu)
-    # head: integral over x in (0, 1], done in x space
-    head, _ = quad(lambda x: mu(x), 0.0, math.exp(min(s, 0.0)), epsrel=QUAD_RTOL,
-                   epsabs=0.0, limit=200)
-    log_head = math.log(head) if head > 0 else -math.inf
-    if s <= 0:
-        return log_head
-    edges = np.arange(0.0, s, _PANEL)
-    acc = log_head
-    for lo in edges:
-        hi = min(lo + _PANEL, s)
-        acc = as_float(logaddexp(acc, _panel_log_mass(g, lo, hi)))
-    return acc
+def _log_masses(log_f, lo, hi):
+    """log integral of e^log_f over each panel [lo[i], hi[i]].
+
+    Each panel's sum is checked against the sum over its two halves; the
+    test is relative to the panel's own mass and, for rounding in log_f,
+    to the size of its coordinates and of its log mass.  Panels that fail
+    are bisected together, up to _DEPTH times; one that still fails, or
+    more than _MAX_SPLIT failing at once, raises QuadratureUnconverged.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    out = np.full(lo.shape, -math.inf)
+    owner = np.flatnonzero(hi > lo)
+    a, b = lo[owner], hi[owner]
+    n = len(a)
+    mid = 0.5 * (a + b)
+    # the first pass also rates the whole panels; later ones reuse the halves
+    sums = _log_rule(log_f, np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
+    whole, sums = sums[:n], sums[n:]
+    for depth in range(_DEPTH + 1):
+        left, right = sums[:n], sums[n:]
+        fine = np.logaddexp(left, right)
+        scale = 1.0 + np.maximum(np.abs(a), np.abs(b)) + np.abs(fine)
+        with np.errstate(invalid="ignore"):
+            ok = (fine == whole) | (np.abs(fine - whole) <= _TOL * scale)
+        np.logaddexp.at(out, owner[ok], fine[ok])
+        bad = ~ok
+        failed = np.count_nonzero(bad)
+        if failed == 0:
+            return out
+        if depth == _DEPTH or failed > _MAX_SPLIT:
+            break
+        n = 2 * failed
+        owner = np.concatenate([owner[bad], owner[bad]])
+        a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
+        whole = np.concatenate([left[bad], right[bad]])
+        mid = 0.5 * (a + b)
+        sums = _log_rule(log_f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+    raise QuadratureUnconverged(
+        f"{failed} quadrature panel(s) within [{a[bad].min():.17g}, {b[bad].max():.17g}] "
+        f"failed the halves test after {depth} bisections")
+
+
+def _log_panels(log_f, edges, jumps=()):
+    """Log masses between consecutive sorted edges, with the jumps inside as extra edges."""
+    edges = np.asarray(edges, dtype=float)
+    cuts = np.union1d(edges, [j for j in jumps if edges[0] < j < edges[-1]])
+    owner = np.searchsorted(edges, cuts[:-1], side="right") - 1
+    out = np.full(len(edges) - 1, -math.inf)
+    np.logaddexp.at(out, owner, _log_masses(log_f, cuts[:-1], cuts[1:]))
+    return out
+
+
+def _log_s_panels(g: GFunction, edges):
+    """log integral of e^(r - g(r)) dr between consecutive edges in s."""
+    def log_f(r):
+        return r - g.eval(r)
+
+    return _log_panels(log_f, edges, g.knots_in(edges[0], edges[-1]))
+
+
+def _log_integral(mu: EigenvalueFunction, s1: float, s2: float) -> float:
+    """log integral of mu over e^s1 < x < e^s2; s1 = -inf starts at x = 0.
+
+    Below x = 1 the rule runs in x, above it in s = log x over panels of
+    width _PANEL, so no coordinate overflows.
+    """
+    parts = [-math.inf]
+    if s1 < 0:
+        def log_mu(x):
+            with np.errstate(divide="ignore"):
+                return np.log(mu.eval(x))
+
+        scale = math.exp(mu.a)
+        jumps = [e * scale for e in mu.family.edges_x() or ()]
+        x_edges = [math.exp(s1), math.exp(min(s2, 0.0))]
+        parts.append(_log_panels(log_mu, x_edges, jumps)[0])
+    if s2 > 0:
+        s_edges = np.append(np.arange(max(s1, 0.0), s2, _PANEL), s2)
+        parts.extend(_log_s_panels(g_transform(mu), s_edges))
+    return as_float(np.logaddexp.accumulate(parts)[-1])
 
 
 def _quad_log_S_down(mu: EigenvalueFunction, s: float) -> float:
+    """Panels of width _PANEL from s on, until one adds < 1e-14 relative."""
     g = g_transform(mu)
     acc = -math.inf
-    lo = s
-    for _ in range(200):
-        hi = lo + _PANEL
-        piece = _panel_log_mass(g, lo, hi)
-        new = as_float(logaddexp(acc, piece))
-        if acc > -math.inf and piece < acc - 34.0:  # < 1e-14 relative
-            return new
-        acc = new
-        lo = hi
+    for first in range(0, _TAIL_PANELS, _TAIL_BATCH):
+        edges = s + _PANEL * np.arange(first, first + _TAIL_BATCH + 1)
+        for piece in _log_s_panels(g, edges):
+            new = as_float(logaddexp(acc, piece))
+            if acc > -math.inf and piece < acc - 34.0:
+                return new
+            acc = new
     return acc
 
 
@@ -148,36 +218,21 @@ def log_S(mu: EigenvalueFunction, s: float) -> float:
     closed = _closed_log_S(mu, s, up)
     if closed is not None:
         return as_float(closed)
-    return _quad_log_S_up(mu, s) if up else _quad_log_S_down(mu, s)
+    return _log_integral(mu, -math.inf, s) if up else _quad_log_S_down(mu, s)
 
 
 def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray) -> np.ndarray:
-    """log S over a sorted grid of s values; batches the quadrature fallback."""
+    """log S over a sorted grid of s values; one batch of panels for the quadrature fallback."""
     up = branch_is_up(mu)
     closed = _closed_log_S(mu, ss, up)
     if closed is not None:
         return np.asarray(closed, dtype=float)
-    g = g_transform(mu)
-    panels = np.array(
-        [_panel_log_mass(g, s1, s2) for s1, s2 in zip(ss[:-1], ss[1:])]
-    )
+    ss = np.asarray(ss, dtype=float)
+    panels = _log_s_panels(g_transform(mu), ss)
     if up:
-        start = _quad_log_S_up(mu, float(ss[0]))
-        out = np.empty(len(ss))
-        out[0] = start
-        acc = start
-        for i, piece in enumerate(panels):
-            acc = as_float(logaddexp(acc, piece))
-            out[i + 1] = acc
-        return out
-    end = _quad_log_S_down(mu, float(ss[-1]))
-    out = np.empty(len(ss))
-    out[-1] = end
-    acc = end
-    for i in range(len(panels) - 1, -1, -1):
-        acc = as_float(logaddexp(acc, panels[i]))
-        out[i] = acc
-    return out
+        return np.logaddexp.accumulate(np.append(_log_integral(mu, -math.inf, ss[0]), panels))
+    down = np.append(_quad_log_S_down(mu, float(ss[-1])), panels[::-1])
+    return np.logaddexp.accumulate(down)[::-1]
 
 
 def S(mu: EigenvalueFunction, x: float) -> float:
@@ -236,5 +291,5 @@ def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
         xs = sorted({x1, x2, *[e for e in scaled if x1 < e < x2]})
         # value on [a, b) is mu(a) by right continuity
         return math.fsum(mu(a) * (b - a) for a, b in zip(xs[:-1], xs[1:]))
-    val, _ = quad(lambda x: mu(x), x1, x2, epsrel=QUAD_RTOL, epsabs=0.0, limit=200)
-    return val
+    s1 = math.log(x1) if x1 > 0 else -math.inf
+    return math.exp(_log_integral(mu, s1, math.log(x2)))

@@ -310,3 +310,42 @@ def test_cli_usage_errors_exit_1(capsys, argv):
     # each subcommand takes only the flags its handler reads; 2 would mean undecided
     assert main(argv) == 1
     assert "usage" in capsys.readouterr().err
+
+
+def _run_cli(*argv):
+    """Run the CLI, or python -c code, in a fresh interpreter that finds this singtrace."""
+    import os
+    import subprocess
+    import sys
+
+    import singtrace
+
+    src = os.path.dirname(os.path.dirname(singtrace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, singtrace, singtrace.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = _run_cli("-c", code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_cli_exponential_against_vanisher_never_crashes(capsys, tmp_path):
+    # g = e^t is +inf on the vanisher's whole tail grid, so its slope fit
+    # has no finite point; exponentials outgrow every staircase of the line
+    src = write_family(tmp_path, "line.json", {"kind": "pure_power", "p": 1.0})
+    built = tmp_path / "built.json"
+    assert main(["construct", "vanisher", src, "--format", "json", "--output", str(built)]) == 0
+    van = tmp_path / "vanisher.json"
+    van.write_text(json.dumps(json.loads(built.read_text())["staircase"]))
+    exp = write_family(tmp_path, "exp.json", {"kind": "exponential", "alpha": 1.0})
+    for command in ("ideal-check", "kernel-check"):
+        for a, b, member in ((exp, str(van), True), (str(van), exp, False)):
+            res = _run_cli("-m", "singtrace.cli", command, a, b, "--format", "json")
+            assert res.returncode in (0, 1), res.stderr
+            assert "Traceback" not in res.stderr
+            if res.returncode == 0:
+                verdict = json.loads(res.stdout)["verdict"]
+                assert verdict == ("member" if member else "non_member"), (command, a, b)

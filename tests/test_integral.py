@@ -1,14 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from singtrace.errors import SupportExceeded, UndecidedBranch, ZeroDenominator
+from singtrace.errors import (
+    QuadratureUnconverged,
+    SingTraceError,
+    SupportExceeded,
+    UndecidedBranch,
+    ZeroDenominator,
+)
 from singtrace.functions import (
     dilate,
     exponential,
     g_step,
+    g_transform,
+    pointwise_min,
     power_log,
     pure_power,
     sampled,
@@ -16,6 +25,8 @@ from singtrace.functions import (
     PowerLog,
 )
 from singtrace.integral import (
+    _log_masses,
+    _log_s_panels,
     S,
     is_trace_class,
     log_S,
@@ -291,3 +302,112 @@ def test_gstep_huge_breakpoints_no_overflow():
     assert v2 > v1  # S_up grows
     # within the first piece the integral is x * e^(-10)
     assert log_S(mu, 5e4) == pytest.approx(5e4 - 10.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre panel rule
+
+
+def test_panel_rule_refuses_an_unresolved_jump():
+    # a jump at sqrt(2) is never a bisection point, so the halves test keeps
+    # failing there; the smooth panel beside it is fine on its own
+    def log_f(x):
+        return np.where(x < math.sqrt(2.0), 0.0, -1.0)
+
+    assert _log_masses(log_f, [0.0], [1.0])[0] == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(QuadratureUnconverged) as err:
+        _log_masses(log_f, [0.0, 1.0], [1.0, 3.0])
+    assert isinstance(err.value, SingTraceError)
+    with pytest.raises(QuadratureUnconverged):
+        _log_masses(lambda x: np.full_like(x, np.nan), [0.0], [1.0])
+
+
+def test_log_S_grid_sampled_tail_splits_at_jumps():
+    # the samples jump at 0.5, 1 and 2, and at 3 where the tail takes over;
+    # the tail has no closed form for S, so every value comes from the rule
+    mu = sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2], tail=PowerLog(p=1.5, q=0.5))
+    ss = np.array([-1.0, 0.2, 0.8, 1.5, 5.0, 50.0])
+    got = log_S_grid(mu, ss)
+
+    def f(y):
+        return float(mu(y))
+
+    for s, val in zip(ss, got):
+        x = math.exp(s)
+        want = 0.0
+        if x < 3.0:
+            jumps = [j for j in (0.5, 1.0, 2.0) if j > x]
+            want, _ = quad(f, x, 3.0, points=jumps, epsrel=1e-13, epsabs=0.0, limit=200)
+        # past the samples, in log coordinates over ten panels of width 20
+        r0 = math.log(max(x, 3.0))
+        for k in range(10):
+            piece, _ = quad(lambda r: math.exp(r) * f(math.exp(r)), r0 + 20 * k,
+                            r0 + 20 * (k + 1), epsrel=1e-13, epsabs=0.0, limit=200)
+            want += piece
+        assert math.exp(val) == pytest.approx(want, rel=1e-10)
+
+
+def _mp_log_mass(g_mp, edges, crossings=()):
+    """log of the integral of e^(r - g(r)) over each panel, at 30 digits."""
+    out = []
+    with mpmath.workdps(30):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            # unit pieces: one tanh-sinh pass over a wide panel is not enough
+            pts = sorted(set(mpmath.linspace(lo, hi, math.ceil(hi - lo) + 1))
+                         | {mpmath.mpf(c) for c in crossings if lo < c < hi})
+            # shifted to O(1) values: mpmath.quad's error test is absolute
+            c = lo - g_mp(mpmath.mpf(lo))
+            mass = mpmath.quad(lambda r: mpmath.exp(r - g_mp(r) - c), pts)
+            out.append(float(c + mpmath.log(mass)))
+    return np.array(out)
+
+
+def _mp_power_log_g(scale, p, q):
+    def g(r):
+        u = mpmath.log(mpmath.exp(r) + mpmath.e)
+        return -mpmath.log(scale) + p * u + q * mpmath.log(u)
+
+    return g
+
+
+@pytest.mark.parametrize("p", [1.5, 0.7])
+def test_panel_log_masses_match_mpmath(p):
+    g = g_transform(power_log(p=p, q=0.5))
+    g_mp = _mp_power_log_g(1, mpmath.mpf(p), mpmath.mpf(0.5))
+    for edges in ([9.5, 10.25, 11.0], [199.0, 200.5, 215.0], [2000.0, 2003.0, 2019.5],
+                  [3980.0, 3999.25]):
+        got = _log_s_panels(g, np.array(edges))
+        assert np.max(np.abs(got - _mp_log_mass(g_mp, edges))) <= 1e-12
+
+
+def test_panel_log_mass_across_a_pointwise_min_crossing():
+    # g1 = 2u and g2 = 5 + u cross at u = 5, where min(g1, g2) has a kink
+    g1 = g_transform(power_log(p=2.0))
+    g2 = g_transform(power_log(scale=math.exp(-5.0), p=1.0))
+    tc = math.log(math.exp(5.0) - math.e)
+    edges = [tc - 1.3, tc + 0.7]
+    got = _log_s_panels(pointwise_min(g1, g2), np.array(edges))
+
+    def g_mp(r):
+        u = mpmath.log(mpmath.exp(r) + mpmath.e)
+        return min(2 * u, 5 + u)
+
+    with mpmath.workdps(30):
+        crossing = mpmath.log(mpmath.exp(5) - mpmath.e)
+    assert abs(got[0] - _mp_log_mass(g_mp, edges, [crossing])[0]) <= 1e-12
+
+
+def test_mu_mass_without_jumps_matches_quadrature():
+    # in x below x = 1 and in log coordinates above it
+    for mu in [power_log(p=1.5, q=0.5), power_log(p=0.5, q=1.0)]:
+        for x1, x2 in [(0.0, 0.4), (0.3, 50.0), (2.0, 1e4)]:
+            want, _ = quad(lambda y: float(mu(y)), x1, x2, epsrel=1e-13, epsabs=0.0, limit=400)
+            assert mu_mass(mu, x1, x2) == pytest.approx(want, rel=1e-11)
+
+
+def test_log_S_grid_on_one_point_and_empty_panels():
+    mu = power_log(p=0.5, q=1.0)
+    ss = np.array([3.0, 3.0, 7.5])
+    vals = log_S_grid(mu, ss)
+    assert vals[0] == vals[1] and vals[2] > vals[1]
+    assert log_S_grid(mu, ss[:1])[0] == vals[0] == log_S(mu, 3.0)
