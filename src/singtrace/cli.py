@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .classify import ClassifyConfig, classify, dichotomy
@@ -366,7 +367,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors are bad input; exit code 2 means undecided
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: nothing more can be said on stdout, and the
+        # flush at exit must find a sink that does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_ERROR

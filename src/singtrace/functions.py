@@ -860,9 +860,6 @@ class EigenvalueFunction(_View):
         r = self.family.rank
         return None if r is None else r * math.exp(self.a)
 
-    def g_view(self):
-        return GFunction(self.family, self.a, self.b)
-
 
 # constructors
 

@@ -76,10 +76,6 @@ class IdealDecision:
     note: str = ""
     dominating: GFunction | None = None
 
-    @property
-    def is_member(self):
-        return self.verdict == MEMBER
-
 
 # ---------------------------------------------------------------------------
 # grids and slope fits

@@ -23,6 +23,15 @@ and the rule is deterministic, so a construction is reproducible from
 its inputs.  Sources whose g may dip below 1 are raised by a vertical
 offset first (harmless: ideal membership is shift invariant), since the
 square root step heights assume g_A >= 1.
+
+The infimum is read off an analytic inverse where the family has one.
+Otherwise a doubling ladder of trial points is rated in one vectorized
+g evaluation to bracket it, and ITP steps (interpolate, truncate,
+project: Oliveira & Takahashi, ACM TOMS 47(1), 2021) shrink the bracket
+to 1e-9.  ITP never needs more than one step beyond bisection and
+converges superlinearly on smooth g: the vanisher of
+power_log(1.3, 1, 1.1) takes 15 scalar g evaluations per breakpoint,
+where bisection took 59.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ DOMINATOR = "dominator"
 
 _BRACKET_MAX = 1e12
 _BISECT_TOL = 1e-9
+# ITP parameters: truncation kappa1 * width^kappa2 with kappa1 scaled by
+# the first bracket's width, and at most n0 steps beyond bisection
+_ITP_KAPPA1 = 0.2
+_ITP_KAPPA2 = 2.0
+_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -101,30 +115,65 @@ def _tail_integrability(variant, source: GFunction):
 
 
 def _solve_exceed(g: GFunction, level: float, t_lo: float, horizon: float | None):
-    """inf{ t >= t_lo : g(t) > level }, analytic where possible."""
+    """inf{ t >= t_lo : g(t) > level } as (t, g(t)); g(t) is None when not evaluated.
+
+    An analytic inverse answers directly.  Otherwise the ladder t_lo,
+    then max(t_lo, 1) + 0, 1, 3, 7, ... up to the horizon (or 1e12) is
+    rated in one g.eval, and ITP shrinks the first bracket to 1e-9,
+    keeping g(lo) <= level < g(hi) and returning hi.  Where floats are
+    coarser than 1e-9 it stops at adjacent floats.  Raises Bounded when
+    no ladder point exceeds the level.
+    """
     t = g.inverse_point(level)
     if t is not None:
-        return max(t, t_lo)
-    if g(t_lo) > level:
-        return t_lo
-    hi = max(t_lo, 1.0)
-    width = 1.0
+        return max(t, t_lo), None
     cap = horizon if horizon is not None else _BRACKET_MAX
-    while g(hi) <= level:
-        hi += width
+    ladder = [t_lo, max(t_lo, 1.0)]
+    width = 1.0
+    while ladder[-1] + width <= cap:
+        ladder.append(ladder[-1] + width)
         width *= 2.0
-        if hi > cap:
-            raise Bounded(
-                f"g never exceeds {level:.6g} on the trusted range (up to {cap:.3g})"
-            )
-    lo = max(t_lo, hi - width / 2.0)
+    with np.errstate(over="ignore"):  # far rungs may overflow to inf, which still exceeds
+        vals = g.eval(ladder).tolist()
+    if vals[0] > level:
+        return t_lo, vals[0]
+    k = next((i for i in range(1, len(ladder)) if not vals[i] <= level), None)
+    if k is None:
+        raise Bounded(f"g never exceeds {level:.6g} on the trusted range (up to {cap:.3g})")
+    return _itp(g, level, ladder[k - 1], ladder[k], vals[k - 1], vals[k])
+
+
+def _itp(g, level, lo, hi, g_lo, g_hi):
+    """ITP on the bracket g(lo) <= level < g(hi), down to hi - lo <= 1e-9."""
+    eps = 0.5 * _BISECT_TOL
+    width = hi - lo
+    if width <= _BISECT_TOL:
+        return hi, g_hi
+    n_max = math.ceil(math.log2(width / _BISECT_TOL)) + _ITP_N0
+    kappa1 = _ITP_KAPPA1 / width
+    j = 0
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if g(mid) > level:
-            hi = mid
+        r = eps * 2.0 ** (n_max - j) - 0.5 * (hi - lo)
+        delta = kappa1 * (hi - lo) ** _ITP_KAPPA2
+        x = lo + (hi - lo) * (level - g_lo) / (g_hi - g_lo)  # regula falsi
+        if not lo < x < hi:  # g(lo) == level, an infinite g(hi), or a NaN
+            x = mid
+        sigma = 1.0 if mid >= x else -1.0
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        if abs(x - mid) > r:
+            x = mid - sigma * r
+        if not lo < x < hi:
+            x = mid
+            if not lo < x < hi:  # adjacent floats: hi is the answer
+                break
+        y = g(x)
+        if y > level:
+            hi, g_hi = x, y
         else:
-            lo = mid
-    return hi
+            lo, g_lo = x, y
+        j += 1
+    return hi, g_hi
 
 
 def _construct(variant: str, source, n_steps: int, start_t: float) -> StaircaseConstruction:
@@ -142,22 +191,24 @@ def _construct(variant: str, source, n_steps: int, start_t: float) -> StaircaseC
     phi_inv = (lambda v: v * v) if variant == VANISHER else math.sqrt
 
     ts = [float(start_t)]
+    gs = [gA(start_t)]  # gA at each breakpoint, reused from the solver where it has it
     for n in range(1, n_steps):
         t_n = ts[-1]
-        target_phi = phi(gA(t_n)) + (n + 1)
+        target_phi = phi(gs[-1]) + (n + 1)
         level = phi_inv(target_phi)  # g must exceed this level
-        t_cand = _solve_exceed(gA, level, t_n, g_src.horizon_t)
+        t_cand, g_cand = _solve_exceed(gA, level, t_n, g_src.horizon_t)
         t_next = max(t_n + (n + 1), t_cand)
         if not math.isfinite(t_next):
             raise ConstructionRange(f"breakpoint {n + 1} left the float range")
         if g_src.horizon_t is not None and t_next > g_src.horizon_t:
             raise Bounded("construction ran past the trusted horizon of the source")
         ts.append(float(t_next))
+        gs.append(g_cand if g_cand is not None and t_next == t_cand else gA(t_next))
 
     if variant == VANISHER:
-        values = tuple(math.sqrt(gA(t)) for t in ts)
+        values = tuple(math.sqrt(v) for v in gs)
     else:
-        values = tuple(gA(t) ** 2 for t in ts[1:])
+        values = tuple(v ** 2 for v in gs[1:])
     if not all(math.isfinite(v) for v in values):
         raise ConstructionRange("step values left the float range")
 
@@ -168,7 +219,7 @@ def _construct(variant: str, source, n_steps: int, start_t: float) -> StaircaseC
         source=g_src,
         normalization_offset=offset,
         start_t=float(start_t),
-        rule="greedy minimal breakpoints, margin n+1, bisection 1e-9",
+        rule="greedy minimal breakpoints, margin n+1, analytic inverse or ITP to 1e-9",
     )
 
 

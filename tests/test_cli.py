@@ -312,8 +312,11 @@ def test_cli_usage_errors_exit_1(capsys, argv):
     assert "usage" in capsys.readouterr().err
 
 
-def _run_cli(*argv):
-    """Run the CLI, or python -c code, in a fresh interpreter that finds this singtrace."""
+def _run_cli(*argv, stdout=None):
+    """Run the CLI, or python -c code, in a fresh interpreter that finds this singtrace.
+
+    stdout is a file descriptor for the child's stdout; None captures it.
+    """
     import os
     import subprocess
     import sys
@@ -322,7 +325,26 @@ def _run_cli(*argv):
 
     src = os.path.dirname(os.path.dirname(singtrace.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE if stdout is None else stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--kind", "power_log", "--p", "1"],
+    ["construct", "vanisher", "--kind", "power_log", "--p", "1", "--q", "1.1", "--format", "json"],
+])
+def test_cli_closed_stdout_exits_quietly(argv):
+    import os
+
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = _run_cli("-m", "singtrace.cli", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert res.stderr == ""
 
 
 def test_cli_import_loads_no_scipy():

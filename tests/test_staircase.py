@@ -6,16 +6,22 @@ import pytest
 
 from singtrace.errors import Bounded, FiniteRank, VerificationFailed
 from singtrace.functions import (
+    PowerLog,
+    _View,
     exponential,
     g_step,
     g_transform,
+    pointwise_min,
     power_log,
     pure_power,
+    sampled,
+    shift,
     step_mu,
 )
 from singtrace.ideals import MEMBER, NON_MEMBER, in_kernel, in_principal_ideal
 from singtrace.indices import matuszewska
 from singtrace.staircase import (
+    _itp,
     construct_dominator,
     construct_vanisher,
     verify_construction,
@@ -220,3 +226,87 @@ def test_powerlog_source_constructs_and_verifies():
         s = build(src, n_steps=30)
         v = verify_construction(s)
         assert v.envelope_ok
+
+
+# ---------------------------------------------------------------------------
+# the numeric solver, on sources without an analytic inverse
+
+NUMERIC_SOURCES = {
+    "power_log_q": lambda: g_transform(power_log(1.3, 1.0, 1.1)),
+    "power_log_slow": lambda: g_transform(power_log(1.0, 0.05, 0.5)),
+    "shift": lambda: shift(g_transform(power_log(0.8, 1.0, -0.4)), 0.7, -0.3),
+    "pointwise_min": lambda: pointwise_min(g_transform(power_log(1.0, 1.2, 0.5)),
+                                           g_transform(power_log(2.0, 1.1, 1.5))),
+    "sampled_tail": lambda: g_transform(sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2],
+                                                tail=PowerLog(p=1.5, q=0.5))),
+}
+
+
+def _phi(variant):
+    if variant == "vanisher":
+        return math.sqrt, lambda v: v * v
+    return (lambda y: y * y), math.sqrt
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_SOURCES))
+@pytest.mark.parametrize("build", [construct_vanisher, construct_dominator])
+def test_solver_settles_each_breakpoint_to_the_infimum(name, build):
+    src = NUMERIC_SOURCES[name]()
+    assert src.inverse_point(50.0) is None
+    s = build(src, n_steps=40)
+    gA = s.normalized_source()
+    phi, phi_inv = _phi(s.variant)
+    bps = s.breakpoints
+    settled = 0
+    for n in range(1, len(bps)):
+        level = phi_inv(phi(gA(bps[n - 1])) + (n + 1))
+        t = bps[n]
+        assert gA(t) > level
+        if t > bps[n - 1] + (n + 1):  # the solver set it, not the margin
+            settled += 1
+            assert level >= gA(t - 1e-9)
+    # dominator levels sit within (n+1)/(2 g) of g(t_n), so on a source
+    # with slope above 1/2 the margin n+1 sets every breakpoint
+    if s.variant == "vanisher" or name == "power_log_slow":
+        assert settled >= 10
+    verify_construction(s)
+
+
+def test_solver_work_per_breakpoint(monkeypatch):
+    calls = []
+    scalar = _View.__call__
+    monkeypatch.setattr(_View, "__call__", lambda self, t: calls.append(t) or scalar(self, t))
+    construct_vanisher(g_transform(power_log(1.3, 1.0, 1.1)), n_steps=40)
+    assert len(calls) / 39 <= 20  # bisection needed about 58
+
+
+def test_itp_takes_at_most_one_step_beyond_bisection():
+    # a jump defeats regula falsi; the projection keeps ITP within n0 = 1
+    # step of the 30 bisection steps from width 1 to 1e-9
+    jump = 0.3 + math.pi * 1e-3
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return 0.0 if t < jump else 1e6
+
+    t, g_t = _itp(g, 0.5, 0.0, 1.0, 0.0, 1e6)
+    assert jump <= t <= jump + 1e-9 and g_t == 1e6
+    assert len(calls) <= 31
+
+
+def test_solver_stops_at_adjacent_floats():
+    # breakpoints near 1e7, where one ulp (1.9e-9) exceeds the 1e-9 tolerance
+    s = construct_vanisher(g_transform(power_log(1.0, 0.05, 0.5)), n_steps=40)
+    gA = s.normalized_source()
+    t_prev, t = s.breakpoints[-2:]
+    assert t > 1e7 and t > t_prev + 40
+    level = (math.sqrt(gA(t_prev)) + 40) ** 2
+    assert gA(t) > level >= gA(float(np.nextafter(t, 0.0)))
+
+
+def test_solver_bounded_past_the_horizon():
+    capped = pointwise_min(g_transform(power_log(1.0, 1.0, 0.5)),
+                           g_step([1.0, 2.0], [1.0, 1.5, 2.0], horizon=50.0))
+    with pytest.raises(Bounded, match=r"^g never exceeds \S+ on the trusted range \(up to 50\)$"):
+        construct_vanisher(capped, n_steps=10)
