@@ -657,7 +657,8 @@ class SampledMu(Family):
         return "exact" if self.finite_rank else "horizon_only"
 
     def edges_x(self):
-        return self.grid
+        more = self.tail.edges_x() if self.tail is not None else None
+        return self.grid + tuple(e for e in more or () if e > self.grid[-1])
 
     @property
     def _starts(self):
@@ -666,17 +667,20 @@ class SampledMu(Family):
 
     @property
     def rank(self):
-        """Where mu vanishes from on; known only without a tail model."""
-        if self.tail is not None or not self.finite_rank:
+        """Where mu vanishes from on: at the first zero sample, else where the tail does."""
+        if not self.finite_rank:
             return None
-        return self._starts[self.values.index(0.0)]
+        if self.tail is None or 0.0 in self.values[:-1]:
+            return self._starts[self.values.index(0.0)]
+        return None if self.tail.rank is None else max(self.grid[-1], self.tail.rank)
 
     def mass(self):
         """The integral of mu; known only where the rank is."""
-        if self.rank is None:
+        r = self.rank
+        if r is None:
             return None
-        s = self._starts
-        return math.fsum(v * (b - a) for v, a, b in zip(self.values, s, s[1:]))
+        xs = [x for x in self._starts + self.edges_x()[len(self.grid):] if x < r] + [r]
+        return math.fsum(float(self.mu(a)) * (b - a) for a, b in zip(xs, xs[1:]))
 
     @cached_property
     def _grid(self):

@@ -10,12 +10,13 @@ S(lam x)/S(x) and x mu(x)/S(x) feed the traceability criteria; both are
 computed in the log domain (s = log x) so that staircase profiles with
 astronomically large breakpoints never overflow.
 
-Closed forms are used wherever a family carries one.  The fallback is a
-20-point Gauss-Legendre rule on e^(s - g(s)) over panels of width 20 in
-s (in x for the head over (0, 1]), each panel shifted by its largest
-exponent.  Every panel's sum is checked against the sum over its halves,
-failing panels are bisected, and a panel that never passes raises
-QuadratureUnconverged; the family's jumps are panel edges.  The down
+Closed forms are used wherever a family carries one.  The fallback is
+QUADPACK's qk21 pair on e^(s - g(s)) over panels of width 20 in s (in x
+for the head over (0, 1]), each shifted by its largest exponent.  A panel
+keeps its 21-point Kronrod sum K21; the gap to the 10-point Gauss sum G10
+on the same values, relative to the mass of the grid panel it was cut
+from (its owner), decides whether it is bisected; one that never passes raises
+QuadratureUnconverged.  The family's jumps are panel edges.  The down
 branch adds panels until one changes the sum by less than 1e-14.
 """
 
@@ -34,8 +35,21 @@ TRACE_CLASS = "trace_class"
 NOT_TRACE_CLASS = "not_trace_class"
 UNDECIDED = "undecided"
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
-_TOL = 1e-13  # halves test, relative
+_QK21 = np.array([  # QUADPACK qk21 on [-1, 0]: node, K21 weight, G10 weight
+    [-0.9956571630258081, 0.011694638867371874, 0.0],
+    [-0.9739065285171717, 0.032558162307964725, 0.06667134430868814],
+    [-0.9301574913557082, 0.054755896574351995, 0.0],
+    [-0.8650633666889845, 0.07503967481091996, 0.1494513491505806],
+    [-0.7808177265864169, 0.0931254545836976, 0.0],
+    [-0.6794095682990244, 0.10938715880229764, 0.21908636251598204],
+    [-0.5627571346686047, 0.12349197626206584, 0.0],
+    [-0.4333953941292472, 0.13470921731147334, 0.26926671930999635],
+    [-0.2943928627014602, 0.14277593857706009, 0.0],
+    [-0.14887433898163122, 0.14773910490133849, 0.29552422471475287],
+    [0.0, 0.1494455540029169, 0.0],
+])
+_RULE = np.vstack([_QK21, _QK21[-2::-1] * [-1, 1, 1]])  # mirrored onto [-1, 1]
+_TOL = 1e-13  # K21 - G10 test, relative to the owner panel's mass
 _DEPTH = 30  # bisections of one panel
 _MAX_SPLIT = 4096  # panels failing at once: past this the fault is not local
 _PANEL = 20.0  # panel width in s = log x for the quadrature fallback
@@ -67,66 +81,63 @@ def is_trace_class(mu: EigenvalueFunction) -> TraceClassVerdict:
 
 
 # ---------------------------------------------------------------------------
-# quadrature fallback: a vectorized Gauss-Legendre rule in the log domain
+# quadrature fallback: a vectorized Gauss-Kronrod rule in the log domain
 
 
 def _log_rule(log_f, lo, hi):
-    """log of the Gauss-Legendre sum of e^log_f over each panel [lo, hi].
+    """log of the K21 and the G10 sums of e^log_f over each panel [lo, hi].
 
     One log_f call covers the nodes of every panel; each panel is
     shifted by its own largest exponent, so no sum overflows.
     """
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _RULE[:, 0]
     vals = log_f(nodes.ravel()).reshape(nodes.shape)
-    k = np.max(vals, axis=1, initial=-math.inf)
+    k = np.max(vals, axis=1, initial=-math.inf)[:, None]
     if np.any(np.isnan(k)):
         raise QuadratureUnconverged("the integrand is nan inside a panel")
     with np.errstate(invalid="ignore", divide="ignore"):
-        total = np.log(half * np.sum(_WEIGHTS * np.exp(vals - k[:, None]), axis=1))
-    return np.where(k == -math.inf, -math.inf, k + total)
+        total = np.log(half[:, None] * (np.exp(vals - k) @ _RULE[:, 1:]))
+    return np.where(k == -math.inf, -math.inf, k + total).T
 
 
 def _log_masses(log_f, lo, hi):
     """log integral of e^log_f over each panel [lo[i], hi[i]].
 
-    Each panel's sum is checked against the sum over its two halves; the
-    test is relative to the panel's own mass and, for rounding in log_f,
-    to the size of its coordinates and of its log mass.  Panels that fail
-    are bisected together, up to _DEPTH times; one that still fails, or
-    more than _MAX_SPLIT failing at once, raises QuadratureUnconverged.
+    A panel keeps its K21 sum.  Its error |K21 - G10|, scaled to the
+    first-pass mass of its owner (the input panel it was cut from), is
+    tested against that mass and, for rounding in log_f, the size of the
+    owner's coordinates and log mass: a kink's error falls like the width
+    squared and passes, a jump's only like the width.  Failing panels are
+    bisected together, up to _DEPTH times; one that still fails, or more
+    than _MAX_SPLIT failing at once, raises QuadratureUnconverged.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     out = np.full(lo.shape, -math.inf)
+    first = np.full(lo.shape, -math.inf)
     owner = np.flatnonzero(hi > lo)
     a, b = lo[owner], hi[owner]
-    n = len(a)
-    mid = 0.5 * (a + b)
-    # the first pass also rates the whole panels; later ones reuse the halves
-    sums = _log_rule(log_f, np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
-    whole, sums = sums[:n], sums[n:]
     for depth in range(_DEPTH + 1):
-        left, right = sums[:n], sums[n:]
-        fine = np.logaddexp(left, right)
-        scale = 1.0 + np.maximum(np.abs(a), np.abs(b)) + np.abs(fine)
-        with np.errstate(invalid="ignore"):
-            ok = (fine == whole) | (np.abs(fine - whole) <= _TOL * scale)
-        np.logaddexp.at(out, owner[ok], fine[ok])
+        kron, gauss = _log_rule(log_f, a, b)
+        if depth == 0:
+            first[owner] = kron
+            scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi)) + np.abs(first)
+        with np.errstate(invalid="ignore", over="ignore"):
+            err = np.abs(kron - gauss) * np.exp(kron - first[owner])
+            ok = (kron == gauss) | (err <= _TOL * scale[owner])
+        np.logaddexp.at(out, owner[ok], kron[ok])
         bad = ~ok
         failed = np.count_nonzero(bad)
         if failed == 0:
             return out
         if depth == _DEPTH or failed > _MAX_SPLIT:
             break
-        n = 2 * failed
+        mid = 0.5 * (a[bad] + b[bad])
         owner = np.concatenate([owner[bad], owner[bad]])
-        a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
-        whole = np.concatenate([left[bad], right[bad]])
-        mid = 0.5 * (a + b)
-        sums = _log_rule(log_f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        a, b = np.concatenate([a[bad], mid]), np.concatenate([mid, b[bad]])
     raise QuadratureUnconverged(
         f"{failed} quadrature panel(s) within [{a[bad].min():.17g}, {b[bad].max():.17g}] "
-        f"failed the halves test after {depth} bisections")
+        f"failed the K21 - G10 error test after {depth} bisections")
 
 
 def _log_panels(log_f, edges, jumps=()):

@@ -34,6 +34,7 @@ from singtrace.functions import (
     step_mu,
 )
 from singtrace.ingest import ParseError, family_from_dict, family_to_dict
+from singtrace.integral import mu_mass
 
 E = math.e
 
@@ -383,7 +384,14 @@ def test_sampled_rank_and_mass():
     assert dilate(sampled([1.0, 2.0, 4.0], [1.0, 0.5, 0.0]), 2.0).rank == 2.0
     zero = sampled([1.0, 2.0], [0.0, 0.0]).family
     assert (zero.rank, zero.mass()) == (0.0, 0.0)
-    # infinite rank, or a tail model, leave both unknown
+    # infinite rank leaves both unknown, with or without a tail model
     for fam in (sampled([1.0, 2.0], [1.0, 0.5]).family,
-                sampled([1.0, 2.0], [1.0, 0.0], tail=StepMu((0.0, 3.0), (0.1,))).family):
+                sampled([1.0, 2.0], [1.0, 0.0], tail=PowerLog(p=2.0)).family):
         assert (fam.rank, fam.mass()) == (None, None)
+    # a finite rank tail takes over at grid[-1]: mu = 1 on [0, 2), 0.1 on [2, 3)
+    mu = sampled([1.0, 2.0], [1.0, 0.0], tail=StepMu((0.0, 3.0), (0.1,)))
+    assert mu.family.edges_x() == (1.0, 2.0, 3.0)
+    assert (mu.rank, mu.family.mass(), mu_mass(mu, 0.0, 10.0)) == (3.0, 2.1, 2.1)
+    # a tail that vanishes before grid[-1] leaves mu zero from grid[-1] on
+    fam = sampled([1.0, 4.0], [1.0, 1.0], tail=StepMu((0.0, 3.0), (0.1,))).family
+    assert (fam.rank, fam.mass(), fam.edges_x()) == (4.0, 4.0, (1.0, 4.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from singtrace.classify import classify
 from singtrace.errors import (
     QuadratureUnconverged,
     SingTraceError,
@@ -13,8 +14,10 @@ from singtrace.errors import (
     ZeroDenominator,
 )
 from singtrace.functions import (
+    GFunction,
     dilate,
     exponential,
+    g_inverse,
     g_step,
     g_transform,
     pointwise_min,
@@ -25,6 +28,7 @@ from singtrace.functions import (
     PowerLog,
 )
 from singtrace.integral import (
+    _RULE,
     _log_masses,
     _log_s_panels,
     S,
@@ -305,7 +309,33 @@ def test_gstep_huge_breakpoints_no_overflow():
 
 
 # ---------------------------------------------------------------------------
-# the Gauss-Legendre panel rule
+# the Gauss-Kronrod panel rule
+
+
+def test_kronrod_pair_integrates_polynomials():
+    nodes, kronrod, gauss = _RULE.T
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(kronrod @ nodes**k - exact) <= 1e-15
+        if k <= 19:
+            assert abs(gauss @ nodes**k - exact) <= 1e-15
+    # G10 reads 10 of the 21 Kronrod values
+    x, w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(nodes[gauss > 0], x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(gauss[gauss > 0], w, rtol=0, atol=1e-15)
+
+
+def test_quadrature_classify_evaluates_g_at_few_points(monkeypatch):
+    # 21 g points a panel and pass: 138,776 points in all
+    points = []
+
+    def counted(self, t, _eval=GFunction.eval):
+        points.append(np.size(t))
+        return _eval(self, t)
+
+    monkeypatch.setattr(GFunction, "eval", counted)
+    classify(power_log(1.3, 1.5, 0.5))
+    assert sum(points) <= 160_000
 
 
 def test_panel_rule_refuses_an_unresolved_jump():
@@ -411,3 +441,63 @@ def test_log_S_grid_on_one_point_and_empty_panels():
     vals = log_S_grid(mu, ss)
     assert vals[0] == vals[1] and vals[2] > vals[1]
     assert log_S_grid(mu, ss[:1])[0] == vals[0] == log_S(mu, 3.0)
+
+
+def _quad_pieces(f, a, b, cuts):
+    """scipy quad over [a, b] in pieces of width <= 20, split at the cuts."""
+    pts = sorted({a, b, *np.arange(a, b, 20.0)[1:].tolist(), *(c for c in cuts if a < c < b)})
+    return math.fsum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for lo, hi in zip(pts, pts[1:]))
+
+
+def test_log_S_grid_across_pointwise_min_kinks():
+    # min(g1, g2) of two power-logs crossing at s* in [5, 150]: g1 below s*,
+    # g2 (the slower side, which sets the branch) above, so g's slope drops
+    # by up to 3 there.  Grids straddle s* (window panels) or lie above it
+    # (prefix panels on the up branch) or below it (tail panels on the down one)
+    rng = np.random.default_rng(7)
+    for i in range(144):
+        up = i % 2 == 0
+        p2 = rng.uniform(0.5, 0.8) if up else rng.uniform(1.3, 2.0)
+        p1, q1, q2 = p2 + rng.uniform(0.3, 3.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        st = rng.uniform(5.0, 150.0)
+        ut = math.log(math.exp(st) + E)
+        log_scale2 = -(p1 - p2) * ut - (q1 - q2) * math.log(ut)
+        mu = g_inverse(pointwise_min(
+            g_transform(power_log(p=p1, q=q1)),
+            g_transform(power_log(scale=math.exp(log_scale2), p=p2, q=q2))))
+        place = (i // 2) % 3
+        if place == 0:
+            lo, hi = st - rng.uniform(1.0, 80.0), st + rng.uniform(1.0, 80.0)
+        elif place == 1:
+            lo = st + rng.uniform(0.5, 40.0)
+            hi = lo + rng.uniform(1.0, 40.0)
+        else:
+            hi = st - rng.uniform(0.5, min(40.0, st - 1.0))
+            lo = hi - rng.uniform(1.0, 40.0)
+        ss = np.linspace(max(lo, 0.0), hi, (50, 200, 800)[(i // 6) % 3])
+        got = log_S_grid(mu, ss)
+
+        def f(r):
+            u = math.log(math.exp(r) + E)
+            g = min(p1 * u + q1 * math.log(u), p2 * u + q2 * math.log(u) - log_scale2)
+            return math.exp(r - g)
+
+        for k in (0, len(ss) // 2, len(ss) - 1):
+            s = float(ss[k])
+            if up:
+                head, _ = quad(lambda x: float(mu(x)), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+                want = math.log(head + _quad_pieces(f, 0.0, s, [st]))
+            else:
+                want = math.log(_quad_pieces(f, s, s + 60.0 / (p2 - 1.0), [st]))
+            assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want)), (i, s)
+
+
+def test_classify_across_a_pure_power_cap_kink():
+    # g's slope jumps from 0 to 2.6 at the cap near s = 0.397, where the
+    # pointwise min still follows pure_power; the p = 1 side wins far out
+    g = pointwise_min(
+        g_transform(pure_power(p=2.6052500974237036, scale=4.704950009066704,
+                               cap=1.672890310046364)),
+        g_transform(power_log(scale=1.0094676907289473, p=1, q=0.6597825237141081)))
+    assert classify(g).traceable is True
