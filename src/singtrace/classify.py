@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotApplicable, UndecidedBranch
+from .errors import NotApplicable, QuadratureUnconverged, UndecidedBranch
 from .functions import EigenvalueFunction, GFunction, g_transform
 from .ideals import IdealConfig, IdealDecision, in_kernel, in_principal_ideal
 from .indices import EstimatorConfig, MatuszewskaReport, _regularity, as_g, is_regular, matuszewska
@@ -180,15 +180,19 @@ def _tail_criterion(mu: EigenvalueFunction, cfg: ClassifyConfig, tc: TraceClassV
     if T < 4.0:
         return TraceabilityVerdict(None, crit, horizon_limited=True,
                                    note="horizon too short for dyadic windows")
-    if T not in samples:
-        samples[T] = _tail_sample(mu, g, T, cfg)
-    if lam is None:
-        minima = _liminf_minima(samples[T])
-        evidence = {"window_minima": tuple(minima), "horizon_log": T, "theta": cfg.theta}
-    else:
-        minima = _ratio_minima(mu, samples[T], lam)
-        evidence = {"window_minima": tuple(minima), "lambda": lam,
-                    "horizon_log": T, "theta": cfg.theta}
+    try:
+        if T not in samples:
+            samples[T] = _tail_sample(mu, g, T, cfg)
+        if lam is None:
+            minima = _liminf_minima(samples[T])
+            evidence = {"window_minima": tuple(minima), "horizon_log": T, "theta": cfg.theta}
+        else:
+            minima = _ratio_minima(mu, samples[T], lam)
+            evidence = {"window_minima": tuple(minima), "lambda": lam,
+                        "horizon_log": T, "theta": cfg.theta}
+    except QuadratureUnconverged as exc:
+        # no trustworthy log S on the windows: say so instead of guessing
+        return TraceabilityVerdict(None, crit, horizon_limited=True, note=str(exc))
     verdict, why = _limit_point_verdict(minima, cfg.theta)
     return TraceabilityVerdict(verdict, crit, evidence=evidence,
                                horizon_limited=g.horizon_t is not None, note=why)

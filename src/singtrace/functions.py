@@ -39,9 +39,25 @@ from .errors import (
     NonpositiveWeight,
     NotInfinitesimal,
 )
-from .numutil import INF, as_float, logaddexp, logsubexp
 
 E = math.e
+
+
+def logsubexp(a, b):
+    """log(e^a - e^b) elementwise for a >= b; equal entries give -inf."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = a + np.log1p(-np.exp(np.minimum(b - a, 0.0)))
+        out = np.where(b >= a, -np.inf, out)
+    return out
+
+
+def logaddexp(a, b):
+    """np.logaddexp without the warnings it raises on overflow and nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.logaddexp(a, b)
+
 
 # ---------------------------------------------------------------------------
 # growth profiles (exact asymptotics of g, used by the ideal decisions)
@@ -90,56 +106,6 @@ def min_profile(pa: GrowthProfile, pb: GrowthProfile) -> GrowthProfile:
 
 
 # ---------------------------------------------------------------------------
-# log-domain integration of piecewise constant profiles
-#
-# A step profile with g-value gv[j] on the s-interval I_j (s = log x)
-# has mass  integral_{I_j} mu dx = e^(-gv[j]) (e^(s_hi) - e^(s_lo)),
-# which we accumulate entirely in log space so staircases with huge
-# breakpoints never overflow.
-
-
-def _piece_log_masses(sb: np.ndarray, gv: np.ndarray, s_end: float) -> np.ndarray:
-    m = len(sb)
-    masses = np.empty(m + 1)
-    masses[0] = sb[0] - gv[0]
-    if m > 1:
-        masses[1:m] = -gv[1:m] + logsubexp(sb[1:], sb[:-1])
-    masses[m] = -gv[m] + logsubexp(s_end, sb[-1]) if np.isfinite(gv[m]) else -np.inf
-    return masses
-
-
-class _StepTables:
-    """Prefix/suffix log-mass tables for a piecewise constant profile."""
-
-    def __init__(self, sb, gv, s_end):
-        self.sb = np.asarray(sb, dtype=float)
-        self.gv = np.asarray(gv, dtype=float)
-        self.s_end = float(s_end)
-        masses = _piece_log_masses(self.sb, self.gv, self.s_end)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.prefix = np.logaddexp.accumulate(masses[:-1])
-            self.suffix = np.logaddexp.accumulate(masses[::-1])[::-1]
-
-    def log_up(self, s):
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self.sb, s, side="right")
-        lo = np.where(idx > 0, self.sb[np.maximum(idx - 1, 0)], -np.inf)
-        partial = -self.gv[idx] + logsubexp(s, lo)
-        head = np.where(idx > 0, self.prefix[np.maximum(idx - 1, 0)], -np.inf)
-        out = logaddexp(head, np.where(idx > 0, partial, s - self.gv[0]))
-        return out
-
-    def log_down(self, s):
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self.sb, s, side="right")
-        m = len(self.sb)
-        hi = np.where(idx < m, self.sb[np.minimum(idx, m - 1)], self.s_end)
-        rem = -self.gv[idx] + logsubexp(hi, s)
-        tail = np.where(idx < m, self.suffix[np.minimum(idx + 1, m)], -np.inf)
-        return logaddexp(rem, tail)
-
-
-# ---------------------------------------------------------------------------
 # concrete families
 
 
@@ -167,7 +133,7 @@ class Family:
             return (0.0, 0.0)
         if p.slope > 0:
             return (1.0 / p.slope, 1.0 / p.slope)
-        return (INF, INF)
+        return (math.inf, math.inf)
 
     @property
     def trace_class(self):
@@ -185,7 +151,7 @@ class Family:
     def check_finite(what, *values, top_inf=False):
         """Reject nan and infinite input; top_inf lets +inf through."""
         for v in values:
-            if not (math.isfinite(v) or (top_inf and v == INF)):
+            if not (math.isfinite(v) or (top_inf and v == math.inf)):
                 raise NonFinite(f"{what} must be finite, got {v}")
 
     def edges_x(self):
@@ -193,9 +159,10 @@ class Family:
         return None
 
     def knots_t(self):
-        """Jump locations in t = log x; edges_x keeps the exact x values."""
+        """Jump locations in t = log x, taken with np.log as the step lookups take
+        them; edges_x keeps the exact x values."""
         edges = self.edges_x()
-        return None if edges is None else tuple(math.log(e) for e in edges if e > 0)
+        return None if edges is None else tuple(np.log([e for e in edges if e > 0]).tolist())
 
     @property
     def is_step_like(self):
@@ -291,7 +258,7 @@ class PowerLog(Family):
         if u is None or u <= 1.0:
             return None
         # e^t = e^u - e
-        return as_float(logsubexp(u, 1.0))
+        return float(logsubexp(u, 1.0))
 
 
 @dataclass(frozen=True)
@@ -404,8 +371,111 @@ class PurePower(Family):
         return (y + math.log(self.scale)) / self.p
 
 
+# ---------------------------------------------------------------------------
+# piecewise constant profiles
+
+
+class _StepTables:
+    """Prefix and suffix log masses of a step profile, behind log S_up and log S_down.
+
+    g = gv[j] on [sb[j-1], sb[j]) in s = log x, gv[0] from s = -inf and
+    gv[-1] up to s_end, so piece j has mass e^(-gv[j]) (e^(s_hi) - e^(s_lo)).
+    The sums stay in log space, so staircases with huge breakpoints
+    never overflow.
+    """
+
+    def __init__(self, sb, gv, s_end):
+        self.sb, self.gv, self.s_end = sb, gv, float(s_end)
+        m = len(sb)
+        masses = np.empty(m + 1)
+        masses[0] = sb[0] - gv[0]
+        masses[1:m] = -gv[1:m] + logsubexp(sb[1:], sb[:-1])
+        masses[m] = -gv[m] + logsubexp(self.s_end, sb[-1]) if np.isfinite(gv[m]) else -np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.prefix = np.logaddexp.accumulate(masses[:-1])
+            self.suffix = np.logaddexp.accumulate(masses[::-1])[::-1]
+
+    def log_up(self, s):
+        s = np.asarray(s, dtype=float)
+        idx = np.searchsorted(self.sb, s, side="right")
+        lo = np.where(idx > 0, self.sb[np.maximum(idx - 1, 0)], -np.inf)
+        partial = -self.gv[idx] + logsubexp(s, lo)
+        head = np.where(idx > 0, self.prefix[np.maximum(idx - 1, 0)], -np.inf)
+        return logaddexp(head, np.where(idx > 0, partial, s - self.gv[0]))
+
+    def log_down(self, s):
+        s = np.asarray(s, dtype=float)
+        idx = np.searchsorted(self.sb, s, side="right")
+        m = len(self.sb)
+        hi = np.where(idx < m, self.sb[np.minimum(idx, m - 1)], self.s_end)
+        rem = -self.gv[idx] + logsubexp(hi, s)
+        tail = np.where(idx < m, self.suffix[np.minimum(idx + 1, m)], -np.inf)
+        return logaddexp(rem, tail)
+
+
+def piece_sum(mu, edges, x1, x2):
+    """integral of a step profile over [x1, x2] as an exact sum over its pieces.
+
+    mu is constant between consecutive edges and right continuous, so the
+    piece [a, b) adds mu(a) (b - a); math.fsum adds them without rounding.
+    """
+    xs = sorted({x1, x2, *(e for e in edges if x1 < e < x2)})
+    return math.fsum(v * (b - a) for v, a, b in zip(mu(np.array(xs[:-1])), xs, xs[1:]))
+
+
+class _StepFamily(Family):
+    """A piecewise constant profile, given by the one hook _steps().
+
+    _steps() returns (sb, gv, s_end): g = gv[j] on [sb[j-1], sb[j]), gv[0]
+    below sb[0] and gv[-1] from sb[-1] on, and S integrates up to s_end.
+    From it come g (a lookup, right continuous at every knot), log S_up
+    and log S_down (the _StepTables, built on first use so that g alone
+    stays cheap) and mass().  A family defined in x instead gives
+    _x_steps() = (xb, vals), mu = vals[i] on [xb[i], xb[i+1]) and vals[-1]
+    from xb[-1] on; mu is a lookup there, and _steps() its logarithm.
+    """
+
+    def _steps(self):
+        xb, vals = self._x_arrays
+        sb = np.log(xb[1:])
+        with np.errstate(divide="ignore"):
+            return sb, -np.log(vals), sb[-1]
+
+    @cached_property
+    def _x_arrays(self):
+        return tuple(np.asarray(a, dtype=float) for a in self._x_steps())
+
+    @cached_property
+    def _step_arrays(self):
+        return self._steps()
+
+    @cached_property
+    def _tables(self):
+        return _StepTables(*self._step_arrays)
+
+    def g(self, t):
+        sb, gv, _ = self._step_arrays
+        return gv[np.searchsorted(sb, np.asarray(t, dtype=float), side="right")]
+
+    def mu(self, x):
+        xb, vals = self._x_arrays
+        idx = np.searchsorted(xb, np.asarray(x, dtype=float), side="right") - 1
+        return vals[np.clip(idx, 0, len(vals) - 1)]
+
+    def log_S_up(self, s):
+        return self._tables.log_up(s)
+
+    def log_S_down(self, s):
+        return self._tables.log_down(s)
+
+    def mass(self):
+        """The integral of mu, exact over the pieces; None where the rank is unknown."""
+        r = self.rank
+        return None if r is None else piece_sum(self.mu, self.edges_x(), 0.0, r)
+
+
 @dataclass(frozen=True)
-class StepMu(Family):
+class StepMu(_StepFamily):
     """Finite rank step profile in the x coordinate.
 
     Value values[i] on [breakpoints[i], breakpoints[i+1]), zero from
@@ -448,56 +518,15 @@ class StepMu(Family):
     def edges_x(self):
         return self.breakpoints
 
-    @cached_property
-    def _bp(self):
-        return np.asarray(self.breakpoints)
-
-    @cached_property
-    def _vals(self):
-        return np.asarray(self.values)
-
-    @cached_property
-    def _gsteps(self):
-        # s-coordinate boundaries skip the x = 0 breakpoint
-        sb = np.log(self._bp[1:]) if len(self.breakpoints) > 1 else np.array([0.0])
-        with np.errstate(divide="ignore"):
-            gv = np.concatenate([-np.log(self._vals), [np.inf]])
-        if len(self.breakpoints) == 1:
-            gv = np.array([np.inf, np.inf])
-        return sb, gv
-
-    def mu(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._bp, x, side="right") - 1
-        padded = np.concatenate([self._vals, [0.0]]) if self.values else np.array([0.0])
-        return padded[np.minimum(np.maximum(idx, 0), len(padded) - 1)]
-
-    def g(self, t):
-        sb, gv = self._gsteps
-        t = np.asarray(t, dtype=float)
-        return gv[np.searchsorted(sb, t, side="right")]
-
-    @cached_property
-    def _tables(self):
-        sb, gv = self._gsteps
-        return _StepTables(sb, gv, sb[-1])
-
-    def log_S_up(self, s):
+    def _x_steps(self):
+        # the zero profile keeps one empty piece, so g and S still have a knot
         if not self.values:
-            return np.full_like(np.asarray(s, dtype=float), -np.inf)
-        return self._tables.log_up(s)
-
-    def log_S_down(self, s):
-        if not self.values:
-            return np.full_like(np.asarray(s, dtype=float), -np.inf)
-        return self._tables.log_down(s)
-
-    def mass(self):
-        return float(np.dot(self._vals, np.diff(self._bp))) if self.values else 0.0
+            return (0.0, 1.0), (0.0, 0.0)
+        return self.breakpoints, self.values + (0.0,)
 
 
 @dataclass(frozen=True)
-class GStep(Family):
+class GStep(_StepFamily):
     """Step profile in the g coordinate (staircases live here).
 
     Value values[j] holds on [breakpoints[j-1], breakpoints[j]); values[0]
@@ -563,17 +592,10 @@ class GStep(Family):
         # past t = 700 e^t overflows; such edges lie beyond any x a caller asks about
         return tuple(math.exp(b) for b in self.breakpoints if b < 700.0)
 
-    @cached_property
-    def _bp(self):
-        return np.asarray(self.breakpoints)
-
-    @cached_property
-    def _vals(self):
-        return np.asarray(self.values)
-
-    def g(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._vals[np.searchsorted(self._bp, t, side="right")]
+    def _steps(self):
+        # S is truncated at the horizon unless finite rank; callers flag this
+        end = self.breakpoints[-1] if self.finite_rank else self.horizon_t
+        return np.asarray(self.breakpoints), np.asarray(self.values), end
 
     def mu(self, x):
         x = np.asarray(x, dtype=float)
@@ -581,30 +603,18 @@ class GStep(Family):
             s = np.log(x)
             return np.exp(-self.g(s))
 
-    @cached_property
-    def _tables(self):
-        end = self.breakpoints[-1] if self.finite_rank else self.horizon_t
-        return _StepTables(self._bp, self._vals, end)
-
-    def log_S_up(self, s):
-        return self._tables.log_up(s)
-
-    def log_S_down(self, s):
-        # truncated at the horizon unless finite rank; callers flag this
-        return self._tables.log_down(s)
-
     def g_inverse_point(self, y):
         """First t with g(t) > y, or None when the staircase never exceeds y."""
         idx = bisect_right(list(self.values), y)
         if idx >= len(self.values):
             return None
         if idx == 0:
-            return -INF
+            return -math.inf
         return self.breakpoints[idx - 1]
 
 
 @dataclass(frozen=True)
-class SampledMu(Family):
+class SampledMu(_StepFamily):
     """Piecewise constant samples of a decay profile on an x grid.
 
     Without a tail model every asymptotic operation is restricted to the
@@ -661,66 +671,33 @@ class SampledMu(Family):
         return self.grid + tuple(e for e in more or () if e > self.grid[-1])
 
     @property
-    def _starts(self):
-        # values[0] holds from x = 0, values[i] from grid[i] on
-        return (0.0,) + self.grid[1:]
-
-    @property
     def rank(self):
         """Where mu vanishes from on: at the first zero sample, else where the tail does."""
         if not self.finite_rank:
             return None
         if self.tail is None or 0.0 in self.values[:-1]:
-            return self._starts[self.values.index(0.0)]
+            # values[0] holds from x = 0, values[i] from grid[i] on
+            return ((0.0,) + self.grid[1:])[self.values.index(0.0)]
         return None if self.tail.rank is None else max(self.grid[-1], self.tail.rank)
 
-    def mass(self):
-        """The integral of mu; known only where the rank is."""
-        r = self.rank
-        if r is None:
-            return None
-        xs = [x for x in self._starts + self.edges_x()[len(self.grid):] if x < r] + [r]
-        return math.fsum(float(self.mu(a)) * (b - a) for a, b in zip(xs, xs[1:]))
-
-    @cached_property
-    def _grid(self):
-        return np.asarray(self.grid)
-
-    @cached_property
-    def _vals(self):
-        return np.asarray(self.values)
+    def _x_steps(self):
+        return self.grid, self.values
 
     def mu(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.minimum(
-            np.maximum(np.searchsorted(self._grid, x, side="right") - 1, 0),
-            len(self.values) - 1,
-        )
-        out = self._vals[idx]
+        out = super().mu(x)
         if self.tail is not None:
+            x = np.asarray(x, dtype=float)
             beyond = x >= self.grid[-1]
             if np.any(beyond):
                 out = np.where(beyond, self.tail.mu(x), out)
         return out
 
     def g(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            x = np.exp(t)
-            out = -np.log(self.mu(x))
+        out = super().g(t)
         if self.tail is None:
             return out
-        # the tail's own g stays finite where x = e^t overflows
-        return np.where(x >= self.grid[-1], self.tail.g(t), out)
-
-    @cached_property
-    def _tables(self):
-        # values[0] holds on [0, grid[1]); value changes at grid[1:], so the
-        # s-space boundaries are the logs of grid[1:] (all positive)
-        sb = np.log(self._grid[1:])
-        with np.errstate(divide="ignore"):
-            gvals = -np.log(self._vals)
-        return _StepTables(sb, gvals, sb[-1])
+        t = np.asarray(t, dtype=float)
+        return np.where(t >= self._step_arrays[2], self.tail.g(t), out)
 
     def log_S_up(self, s):
         s = np.asarray(s, dtype=float)
@@ -803,7 +780,7 @@ class _View:
     b: float = 0.0
 
     def __call__(self, t):
-        return as_float(self.eval(t))
+        return float(self.eval(t))
 
     @property
     def finite_rank(self):
@@ -915,7 +892,7 @@ class SpectralData:
             if w <= 0:
                 raise NonpositiveWeight(f"weight {w} is not positive")
         object.__setattr__(self, "pairs", pairs)
-        if self.total_weight is not None and self.total_weight != INF:
+        if self.total_weight is not None and self.total_weight != math.inf:
             s = math.fsum(w for _, w in pairs)
             if self.total_weight < s - 1e-9:
                 raise ValueError("total_weight smaller than the sum of weights")

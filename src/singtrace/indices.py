@@ -33,11 +33,19 @@ import numpy as np
 
 from .errors import HorizonTooShort, NoWitnessOnHorizon, PreconditionFailed
 from .functions import EigenvalueFunction, GFunction, g_transform
-from .numutil import recip_extended
 
 BIAS_NOTE = (
     "finite tail window: delta_lower is biased up, delta_upper biased down"
 )
+
+
+def recip_extended(x):
+    """Reciprocal with the conventions 1/0 = inf and 1/inf = 0."""
+    if x == 0.0:
+        return math.inf
+    if x == math.inf:
+        return 0.0
+    return 1.0 / x
 
 
 def as_g(fn) -> GFunction:

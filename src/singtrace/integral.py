@@ -17,7 +17,8 @@ keeps its 21-point Kronrod sum K21; the gap to the 10-point Gauss sum G10
 on the same values, relative to the mass of the grid panel it was cut
 from (its owner), decides whether it is bisected; one that never passes raises
 QuadratureUnconverged.  The family's jumps are panel edges.  The down
-branch adds panels until one changes the sum by less than 1e-14.
+branch adds panels until one changes the sum by less than 1e-14, and
+raises QuadratureUnconverged when none has after 200 panels.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnconverged, SupportExceeded, UndecidedBranch, ZeroDenominator
-from .functions import EigenvalueFunction, GFunction, g_transform
-from .numutil import as_float, logaddexp
+from .functions import EigenvalueFunction, GFunction, g_transform, logaddexp, piece_sum
 
 TRACE_CLASS = "trace_class"
 NOT_TRACE_CLASS = "not_trace_class"
@@ -177,21 +177,27 @@ def _log_integral(mu: EigenvalueFunction, s1: float, s2: float) -> float:
     if s2 > 0:
         s_edges = np.append(np.arange(max(s1, 0.0), s2, _PANEL), s2)
         parts.extend(_log_s_panels(g_transform(mu), s_edges))
-    return as_float(np.logaddexp.accumulate(parts)[-1])
+    return float(np.logaddexp.accumulate(parts)[-1])
 
 
 def _quad_log_S_down(mu: EigenvalueFunction, s: float) -> float:
-    """Panels of width _PANEL from s on, until one adds < 1e-14 relative."""
+    """Panels of width _PANEL from s on, until one adds < 1e-14 relative.
+
+    A tail still adding more after _TAIL_PANELS panels raises
+    QuadratureUnconverged instead of returning a partial sum.
+    """
     g = g_transform(mu)
     acc = -math.inf
     for first in range(0, _TAIL_PANELS, _TAIL_BATCH):
         edges = s + _PANEL * np.arange(first, first + _TAIL_BATCH + 1)
         for piece in _log_s_panels(g, edges):
-            new = as_float(logaddexp(acc, piece))
+            new = float(logaddexp(acc, piece))
             if acc > -math.inf and piece < acc - 34.0:
                 return new
             acc = new
-    return acc
+    raise QuadratureUnconverged(
+        f"the tail integral from s = {s:.17g} still grows after {_TAIL_PANELS} panels "
+        f"(s + {_TAIL_PANELS * _PANEL:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +231,18 @@ def branch_of(mu: EigenvalueFunction) -> str:
 
 def log_S(mu: EigenvalueFunction, s: float) -> float:
     """log S(e^s) on whichever branch applies."""
-    up = branch_is_up(mu)
-    closed = _closed_log_S(mu, s, up)
-    if closed is not None:
-        return as_float(closed)
-    return _log_integral(mu, -math.inf, s) if up else _quad_log_S_down(mu, s)
+    return float(log_S_grid(mu, np.array([s]))[0])
 
 
 def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray) -> np.ndarray:
-    """log S over a sorted grid of s values; one batch of panels for the quadrature fallback."""
+    """log S over an ascending grid of s values; one batch of panels for the quadrature fallback."""
+    ss = np.asarray(ss, dtype=float)
+    if np.count_nonzero(ss[1:] < ss[:-1]):
+        raise ValueError("log_S_grid needs an ascending grid of s values")
     up = branch_is_up(mu)
     closed = _closed_log_S(mu, ss, up)
     if closed is not None:
         return np.asarray(closed, dtype=float)
-    ss = np.asarray(ss, dtype=float)
     panels = _log_s_panels(g_transform(mu), ss)
     if up:
         return np.logaddexp.accumulate(np.append(_log_integral(mu, -math.inf, ss[0]), panels))
@@ -298,9 +302,6 @@ def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
     edges = mu.family.edges_x()
     if edges is not None:
         scale = math.exp(mu.a)
-        scaled = [e * scale for e in edges]
-        xs = sorted({x1, x2, *[e for e in scaled if x1 < e < x2]})
-        # value on [a, b) is mu(a) by right continuity
-        return math.fsum(mu(a) * (b - a) for a, b in zip(xs[:-1], xs[1:]))
+        return piece_sum(mu.eval, [e * scale for e in edges], x1, x2)
     s1 = math.log(x1) if x1 > 0 else -math.inf
     return math.exp(_log_integral(mu, s1, math.log(x2)))

@@ -37,3 +37,22 @@ def finite_rank_steps():
 @pytest.fixture(scope="session")
 def x_grid():
     return np.exp(np.linspace(np.log(1e-3), np.log(1e9), 400))
+
+
+@pytest.fixture(scope="session")
+def seeded_samples():
+    """(grid, values) of 150 sampled profiles on decimal grids, a third from x = 0.
+
+    Decimal grid points make exp(log x) round below x at many knots.
+    """
+    rng = np.random.default_rng(385)
+    out = []
+    for i in range(150):
+        n = int(rng.integers(2, 30))
+        xs = np.exp(np.append(rng.uniform(-3.0, 12.0, n), rng.uniform(6.0, 12.0)))
+        grid = np.unique(np.round(xs, 4))
+        if i % 3 == 0:
+            grid[0] = 0.0
+        values = np.sort(np.round(rng.uniform(0.01, 5.0, len(grid)), 3))[::-1]
+        out.append((grid.tolist(), values.tolist()))
+    return out

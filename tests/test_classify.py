@@ -234,6 +234,18 @@ def test_near_critical_family_is_undecided_not_wrong():
     assert classify(mu).agreement
 
 
+def test_unconverged_tail_leaves_the_tail_criteria_undecided():
+    # log S on the windows needs more than the 200-panel tail cap here;
+    # both criteria used to read the truncated sum as "hit below theta"
+    for mu in (power_log(p=1.002, q=-0.5), power_log(p=1.004, q=0.5)):
+        rep = classify(mu)
+        for v in (rep.by_liminf, rep.by_ratio):
+            assert v.traceable is None and v.horizon_limited
+            assert "200 panels" in v.note
+        # the exact indices (1/p < 1) still decide
+        assert rep.by_indices.traceable is False and rep.traceable is False
+
+
 def test_classify_pointwise_min_uses_the_slow_branch():
     from singtrace.functions import pointwise_min
 

@@ -395,3 +395,15 @@ def test_sampled_rank_and_mass():
     # a tail that vanishes before grid[-1] leaves mu zero from grid[-1] on
     fam = sampled([1.0, 4.0], [1.0, 1.0], tail=StepMu((0.0, 3.0), (0.1,))).family
     assert (fam.rank, fam.mass(), fam.edges_x()) == (4.0, 4.0, (1.0, 4.0))
+
+
+def test_sampled_g_is_right_continuous_at_its_knots(seeded_samples):
+    # g is looked up in s = log x, so the value at a knot is the one from it on
+    fam = sampled([0, 3, 7, 10], [1, 0.5, 0.25, 0.1]).family
+    assert fam.g(math.log(7)) == -math.log(0.25)
+    for grid, values in seeded_samples:
+        fam = sampled(grid, values).family
+        knots = np.array(fam.knots_t())
+        np.testing.assert_array_equal(fam.g(knots), fam.g(np.nextafter(knots, np.inf)))
+        np.testing.assert_array_equal(fam.g(knots[1:] if grid[0] > 0 else knots),
+                                      -np.log(values[1:]))

@@ -98,6 +98,17 @@ def test_sampled_without_tail_is_horizon_limited():
     assert rep.delta_lower == pytest.approx(1.0, abs=0.35)
 
 
+def test_sampled_indices_equal_the_equivalent_g_step(seeded_samples):
+    # the same steps written in s = log x give the same knot scan
+    for grid, values in seeded_samples:
+        twin = g_step(np.log(grid[1:]).tolist(), (-np.log(values)).tolist(),
+                      horizon=math.log(grid[-1]))
+        got, want = matuszewska(sampled(grid, values)), matuszewska(twin)
+        assert len(got.per_h) == len(want.per_h) > 0
+        for row, ref in zip(got.per_h, want.per_h):
+            np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
+
+
 def test_horizon_too_short():
     xs = np.exp(np.linspace(0, 1.5, 40))
     mu = sampled(xs, 1.0 / xs)

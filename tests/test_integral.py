@@ -443,6 +443,23 @@ def test_log_S_grid_on_one_point_and_empty_panels():
     assert log_S_grid(mu, ss[:1])[0] == vals[0] == log_S(mu, 3.0)
 
 
+def test_log_S_grid_rejects_a_descending_grid():
+    # the quadrature path and the closed-form path alike
+    for mu in (power_log(p=1.5, q=0.5), power_log(p=1.5), step_mu([0, 1, 2], [2.0, 1.0])):
+        with pytest.raises(ValueError, match="ascending"):
+            log_S_grid(mu, np.array([3.0, 2.0, 1.0]))
+
+
+def test_slow_tail_raises_instead_of_truncating():
+    # p = 1.002: the tail integral still grows by e^-8 per 4000 in s, so the
+    # 200-panel cap used to return a partial sum (9.197910 against 9.199025)
+    for mu in (power_log(p=1.002, q=-0.5), power_log(p=1.004, q=0.5)):
+        with pytest.raises(QuadratureUnconverged, match="200 panels"):
+            log_S(mu, 10.0)
+        with pytest.raises(QuadratureUnconverged):
+            log_S_grid(mu, np.array([10.0, 11.0]))
+
+
 def _quad_pieces(f, a, b, cuts):
     """scipy quad over [a, b] in pieces of width <= 20, split at the cuts."""
     pts = sorted({a, b, *np.arange(a, b, 20.0)[1:].tolist(), *(c for c in cuts if a < c < b)})
