@@ -20,9 +20,13 @@ Both limit statements read the same log S: x mu(x)/S(x) is
 exp(s - g(s) - log S(s)) and S(lam x)/S(x) is exp(log S(s + log lam) -
 log S(s)).  So each window is sampled once (the grid ss, g(ss) and
 log S(ss)) and both criteria score that sample; the ratio adds log S at
-ss + log lam.  classify shares the sample between them whenever their
-horizons agree, which they do unless a trusted horizon ends within
-log lam of horizon_log.
+ss + log lam.  The windows are contiguous, so log S on all of them comes
+from one ascending log_S_grid call over their joined grids, and the
+prefix or tail integral is computed once: one call per criterion.
+classify shares the sample between them whenever their horizons agree,
+which they do unless a trusted horizon ends within log lam of
+horizon_log.  A sample whose quadrature does not converge is kept as
+that failure, and both criteria report it.
 
 Verdicts are three-valued (True / False / None) because horizon limited
 data cannot settle a liminf.
@@ -117,15 +121,21 @@ def _limit_point_verdict(minima, theta):
     return None, "window minima neither recur nor separate cleanly"
 
 
+def _log_S_windows(mu: EigenvalueFunction, grids):
+    """log S on each window grid (nearest the horizon first) from one
+    ascending log_S_grid call: the windows are contiguous, so no prefix
+    or tail integral is computed twice."""
+    ascending = grids[::-1]
+    values = log_S_grid(mu, np.concatenate(ascending))
+    return np.split(values, np.cumsum([len(ss) for ss in ascending[:-1]]))[::-1]
+
+
 def _tail_sample(mu: EigenvalueFunction, g: GFunction, T: float, cfg: ClassifyConfig):
     """Per dyadic window below T, nearest the horizon first: the grid ss,
     g(ss) and log S(ss), which both tail criteria read."""
-    sample = []
-    for lo, hi in _windows(T, cfg.n_windows):
-        ss = _window_grid(g, lo, hi, cfg.window_points)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sample.append((ss, g.eval(ss), log_S_grid(mu, ss)))
-    return sample
+    grids = [_window_grid(g, lo, hi, cfg.window_points) for lo, hi in _windows(T, cfg.n_windows)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(ss, g.eval(ss), ls) for ss, ls in zip(grids, _log_S_windows(mu, grids))]
 
 
 def _window_min(values) -> float:
@@ -147,12 +157,10 @@ def _liminf_minima(sample):
 
 def _ratio_minima(mu: EigenvalueFunction, sample, lam: float):
     """Window minima of |S(lam x) / S(x) - 1|."""
-    minima = []
-    for ss, _, ls in sample:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = np.exp(log_S_grid(mu, ss + math.log(lam)) - ls)
-            minima.append(_window_min(np.abs(ratio - 1.0)))
-    return minima
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = _log_S_windows(mu, [ss + math.log(lam) for ss, _, _ in sample])
+        return [_window_min(np.abs(np.exp(lsl - ls) - 1.0))
+                for lsl, (_, _, ls) in zip(shifted, sample)]
 
 
 def _tail_criterion(mu: EigenvalueFunction, cfg: ClassifyConfig, tc: TraceClassVerdict,
@@ -182,7 +190,12 @@ def _tail_criterion(mu: EigenvalueFunction, cfg: ClassifyConfig, tc: TraceClassV
                                    note="horizon too short for dyadic windows")
     try:
         if T not in samples:
-            samples[T] = _tail_sample(mu, g, T, cfg)
+            try:
+                samples[T] = _tail_sample(mu, g, T, cfg)
+            except QuadratureUnconverged as exc:
+                samples[T] = exc  # the other criterion fails on it too
+        if isinstance(samples[T], QuadratureUnconverged):
+            raise samples[T]
         if lam is None:
             minima = _liminf_minima(samples[T])
             evidence = {"window_minima": tuple(minima), "horizon_log": T, "theta": cfg.theta}

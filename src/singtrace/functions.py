@@ -59,6 +59,27 @@ def logaddexp(a, b):
         return np.logaddexp(a, b)
 
 
+def log_e_plus(t):
+    """u(t) = log(e^t + e), bit for bit np.logaddexp(t, 1.0).
+
+    Where |t - 1| >= 40 the correction log1p(e^-|t - 1|) < 4.3e-18 is
+    below half an ulp of max(t, 1), so that is the answer; only the
+    entries near 1 pay for logaddexp.  A 0-d input, the scalar g of root
+    finding, is tested as a Python float.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        x = float(t)
+        return np.float64(max(x, 1.0)) if abs(x - 1.0) >= 40.0 else logaddexp(t, 1.0)
+    near = ~(np.abs(t - 1.0) >= 40.0)  # nan is near: logaddexp keeps it
+    if near.all():
+        return logaddexp(t, 1.0)
+    out = np.maximum(t, 1.0)
+    if near.any():
+        out[near] = logaddexp(t[near], 1.0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # growth profiles (exact asymptotics of g, used by the ideal decisions)
 
@@ -215,8 +236,7 @@ class PowerLog(Family):
         return self.scale * (x + E) ** (-self.p) * L ** (-self.q)
 
     def g(self, t):
-        t = np.asarray(t, dtype=float)
-        u = logaddexp(t, 1.0)
+        u = log_e_plus(t)
         return -math.log(self.scale) + self.p * u + self.q * np.log(u)
 
     @property
@@ -227,8 +247,7 @@ class PowerLog(Family):
 
     def log_S_up(self, s):
         """Closed forms exist for q = 0 and for p = 1; otherwise None."""
-        s = np.asarray(s, dtype=float)
-        u = logaddexp(s, 1.0)
+        u = log_e_plus(s)
         c = math.log(self.scale)
         if self.q == 0 and self.p < 1:
             return c - math.log(1 - self.p) + logsubexp((1 - self.p) * u, (1 - self.p))
@@ -242,8 +261,7 @@ class PowerLog(Family):
         return None
 
     def log_S_down(self, s):
-        s = np.asarray(s, dtype=float)
-        u = logaddexp(s, 1.0)
+        u = log_e_plus(s)
         c = math.log(self.scale)
         if self.q == 0 and self.p > 1:
             return c - math.log(self.p - 1) + (1 - self.p) * u
@@ -771,6 +789,22 @@ class MinOf(Family):
 # public wrappers
 
 
+def _ordered(i):
+    """float64 bit patterns (as int64) to integers in the floats' order; its own inverse."""
+    return np.where(i < 0, np.int64(-0x8000000000000000) - i, i)
+
+
+def _first_float(holds, lo, hi):
+    """Per entry, the least float x in (lo, hi] with holds(x), for a holds that
+    is monotone in x, false at lo and true at hi: bisection over the floats."""
+    lo, hi = _ordered(lo.view(np.int64)), _ordered(hi.view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        ok = holds(_ordered(mid).view(np.float64))
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    return _ordered(hi).view(np.float64)
+
+
 @dataclass(frozen=True)
 class _View:
     """A family under a shift (a, b) of its g coordinate; both views share it."""
@@ -791,11 +825,20 @@ class _View:
         h = self.family.horizon_t
         return None if h is None else h + self.a
 
-    @property
+    @cached_property
     def knots_t(self):
-        """The family's jumps in t under the shift; None for a family without jumps."""
+        """The family's jumps in t under the shift, each the first float t at
+        which the lookup at t - a has jumped; None for a family without jumps."""
         knots = self.family.knots_t()
-        return None if knots is None else tuple(k + self.a for k in knots)
+        if knots is None:
+            return None
+        k = np.array(knots, dtype=float)
+        t = k + self.a  # t - a can round to either side of k
+        off = (t - self.a < k) | (np.nextafter(t, -math.inf) - self.a >= k)
+        if off.any():
+            w = 8.0 * (abs(np.spacing(k[off])) + abs(np.spacing(self.a)))
+            t[off] = _first_float(lambda x: x - self.a >= k[off], t[off] - w, t[off] + w)
+        return tuple(t.tolist())
 
     def knots_in(self, lo, hi):
         """The shifted jumps inside [lo, hi]."""

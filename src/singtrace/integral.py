@@ -16,9 +16,11 @@ for the head over (0, 1]), each shifted by its largest exponent.  A panel
 keeps its 21-point Kronrod sum K21; the gap to the 10-point Gauss sum G10
 on the same values, relative to the mass of the grid panel it was cut
 from (its owner), decides whether it is bisected; one that never passes raises
-QuadratureUnconverged.  The family's jumps are panel edges.  The down
-branch adds panels until one changes the sum by less than 1e-14, and
-raises QuadratureUnconverged when none has after 200 panels.
+QuadratureUnconverged.  The family's jumps are panel edges.  The rule
+evaluates the integrand on at most 400 panels per call, so its
+temporaries stay in cache however long the grid.  The down branch adds
+panels until one changes the sum by less than 1e-14, and raises
+QuadratureUnconverged when none has after 200 panels.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ _DEPTH = 30  # bisections of one panel
 _MAX_SPLIT = 4096  # panels failing at once: past this the fault is not local
 _PANEL = 20.0  # panel width in s = log x for the quadrature fallback
 _TAIL_PANELS, _TAIL_BATCH = 200, 8  # down branch: panels at most, panels per rule call
+_RULE_BATCH = 400  # panels per log_f call: 8400 nodes, whose temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,23 @@ def is_trace_class(mu: EigenvalueFunction) -> TraceClassVerdict:
 def _log_rule(log_f, lo, hi):
     """log of the K21 and the G10 sums of e^log_f over each panel [lo, hi].
 
-    One log_f call covers the nodes of every panel; each panel is
-    shifted by its own largest exponent, so no sum overflows.
+    One log_f call covers the nodes of up to _RULE_BATCH panels, so its
+    temporaries stay small; each panel is shifted by its own largest
+    exponent, so no sum overflows.
     """
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _RULE[:, 0]
-    vals = log_f(nodes.ravel()).reshape(nodes.shape)
-    k = np.max(vals, axis=1, initial=-math.inf)[:, None]
-    if np.any(np.isnan(k)):
-        raise QuadratureUnconverged("the integrand is nan inside a panel")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        total = np.log(half[:, None] * (np.exp(vals - k) @ _RULE[:, 1:]))
-    return np.where(k == -math.inf, -math.inf, k + total).T
+    out = np.empty((2, len(lo)))
+    for i in range(0, len(lo), _RULE_BATCH):
+        a, b = lo[i:i + _RULE_BATCH], hi[i:i + _RULE_BATCH]
+        half = 0.5 * (b - a)
+        nodes = (0.5 * (a + b))[:, None] + half[:, None] * _RULE[:, 0]
+        vals = log_f(nodes.ravel()).reshape(nodes.shape)
+        k = np.max(vals, axis=1, initial=-math.inf)[:, None]
+        if np.any(np.isnan(k)):
+            raise QuadratureUnconverged("the integrand is nan inside a panel")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            total = np.log(half[:, None] * (np.exp(vals - k) @ _RULE[:, 1:]))
+        out[:, i:i + _RULE_BATCH] = np.where(k == -math.inf, -math.inf, k + total).T
+    return out
 
 
 def _log_masses(log_f, lo, hi):

@@ -174,10 +174,11 @@ def test_classify_computes_each_window_once(monkeypatch):
         return real_tc(*args, **kwargs)
 
     line = g_transform(pure_power(p=1))
-    # power_log(p=1) has no horizon: both criteria read one sample per window
-    # (4 grids) and the ratio adds 4 shifted ones.  The dominator is trusted
-    # to t = 820, so its ratio windows end log 2 earlier on a sample of their own.
-    cases = [(power_log(p=1), 8), (construct_dominator(line, 40).g(), 12)]
+    # power_log(p=1) has no horizon: both criteria read one sample, log S on
+    # all 4 windows from one call, and the ratio adds one call on the shifted
+    # windows.  The dominator is trusted to t = 820, so its ratio windows end
+    # log 2 earlier on a sample of their own.
+    cases = [(power_log(p=1), 2), (construct_dominator(line, 40).g(), 3)]
     for fn, grids in cases:
         calls.clear()
         monkeypatch.setattr(classify_module, "log_S_grid", counted_grid)
@@ -244,6 +245,24 @@ def test_unconverged_tail_leaves_the_tail_criteria_undecided():
             assert "200 panels" in v.note
         # the exact indices (1/p < 1) still decide
         assert rep.by_indices.traceable is False and rep.traceable is False
+
+
+def test_failed_window_sample_is_computed_once(monkeypatch):
+    # the liminf criterion's sample raises; the ratio criterion reads that
+    # failure instead of running the same 200-panel tail again
+    integral_module = importlib.import_module("singtrace.integral")
+    real_down = integral_module._quad_log_S_down
+    calls = []
+
+    def counted_down(*args):
+        calls.append(args)
+        return real_down(*args)
+
+    monkeypatch.setattr(integral_module, "_quad_log_S_down", counted_down)
+    rep = classify(power_log(p=1.002, q=-0.5))
+    assert len(calls) == 1
+    assert rep.by_liminf.traceable is None and rep.by_ratio.traceable is None
+    assert rep.by_liminf.note == rep.by_ratio.note and "200 panels" in rep.by_ratio.note
 
 
 def test_classify_pointwise_min_uses_the_slow_branch():

@@ -25,6 +25,7 @@ from singtrace.functions import (
     g_inverse,
     g_step,
     g_transform,
+    log_e_plus,
     pointwise_min,
     power_log,
     pure_power,
@@ -407,3 +408,45 @@ def test_sampled_g_is_right_continuous_at_its_knots(seeded_samples):
         np.testing.assert_array_equal(fam.g(knots), fam.g(np.nextafter(knots, np.inf)))
         np.testing.assert_array_equal(fam.g(knots[1:] if grid[0] > 0 else knots),
                                       -np.log(values[1:]))
+
+
+def test_shifted_step_knots_are_the_first_float_past_each_jump(seeded_samples):
+    # eval looks up the family at t - a, which rounds, so k + a can sit an
+    # ulp before the jump or past the first float after it
+    rng = np.random.default_rng(200)
+    # a knot shifted onto t = 0: every float within ulp(log 2)/2 of 0 looks up log 2
+    halved = g_transform(dilate(step_mu([0.0, 2.0, 5.0], [2.0, 1.0]), 2.0))
+    assert -np.spacing(math.log(2.0)) / 2 <= halved.knots_t[0] < 0.0
+    views = [halved]
+    for grid, values in seeded_samples:
+        views.append(g_transform(dilate(sampled(grid, values), float(rng.uniform(0.3, 3.0)))))
+        views.append(shift(g_step(grid, np.arange(len(grid) + 1.0)),
+                           float(rng.uniform(-20.0, 20.0)), 1.0))
+    for g in views:
+        k, knots = np.array(g.family.knots_t()), np.array(g.knots_t)
+        before, after = np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)
+        assert np.all(knots - g.a >= k) and np.all(before - g.a < k)
+        np.testing.assert_array_equal(g.eval(knots), g.eval(after))
+        np.testing.assert_array_equal(g.eval(knots), g.b + g.family.g(k))
+        np.testing.assert_array_equal(g.eval(before), g.b + g.family.g(np.nextafter(k, -np.inf)))
+
+
+def test_log_e_plus_is_logaddexp_bit_for_bit():
+    rng = np.random.default_rng(41)
+    n = 20_000
+    edges = [np.nextafter(e, d) for e in (41.0, -39.0) for d in (-np.inf, np.inf)]
+    t = np.concatenate([
+        rng.normal(1.0, 30.0, n),
+        rng.uniform(-60.0, 60.0, n),
+        np.exp(rng.uniform(-50.0, 700.0, n)) * rng.choice([-1.0, 1.0], n),
+        [41.0, -39.0, *edges, np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, 1e308, -1e308],
+    ])
+    rng.shuffle(t)
+    far = np.abs(t - 1.0) >= 40.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in (t, t[far], t[~far]):
+            np.testing.assert_array_equal(log_e_plus(part).view(np.int64),
+                                          np.logaddexp(part, 1.0).view(np.int64))
+        for v in (41.0, -39.0, *edges, 1.0, 300.0, -1e308, np.inf, -np.inf, np.nan):
+            # the 0-d path of scalar g
+            assert log_e_plus(v).view(np.int64) == np.logaddexp(v, 1.0).view(np.int64)

@@ -27,8 +27,10 @@ from singtrace.functions import (
     step_mu,
     PowerLog,
 )
+from singtrace import integral
 from singtrace.integral import (
     _RULE,
+    _RULE_BATCH,
     _log_masses,
     _log_s_panels,
     S,
@@ -336,6 +338,26 @@ def test_quadrature_classify_evaluates_g_at_few_points(monkeypatch):
     monkeypatch.setattr(GFunction, "eval", counted)
     classify(power_log(1.3, 1.5, 0.5))
     assert sum(points) <= 160_000
+
+
+def test_log_rule_passes_at_most_a_batch_of_panels(monkeypatch):
+    # a 3200-point grid is one pass of 3199 panels; g sees at most
+    # _RULE_BATCH of them at a time, and the batching moves no sum
+    ss = np.linspace(10.0, 4000.0, 3200)
+    for mu in (power_log(1.3, 1.5, 0.5), power_log(1.3, 0.7, 0.5)):
+        sizes = {}  # g call sizes under each batch size
+
+        def counted(self, t, _eval=GFunction.eval):
+            sizes.setdefault(integral._RULE_BATCH, []).append(np.size(t))
+            return _eval(self, t)
+
+        monkeypatch.setattr(GFunction, "eval", counted)
+        batched = log_S_grid(mu, ss)
+        monkeypatch.setattr(integral, "_RULE_BATCH", 10**6)
+        whole = log_S_grid(mu, ss)
+        monkeypatch.undo()
+        assert max(sizes[_RULE_BATCH]) <= _RULE_BATCH * len(_RULE) < max(sizes[10**6])
+        np.testing.assert_allclose(batched, whole, rtol=1e-14, atol=0)
 
 
 def test_panel_rule_refuses_an_unresolved_jump():
