@@ -25,8 +25,10 @@ from one ascending log_S_grid call over their joined grids, and the
 prefix or tail integral is computed once: one call per criterion.
 classify shares the sample between them whenever their horizons agree,
 which they do unless a trusted horizon ends within log lam of
-horizon_log.  A sample whose quadrature does not converge is kept as
-that failure, and both criteria report it.
+horizon_log.  The tail integral of a trace class profile is read only
+4000 past the windows: one still growing there is too near the critical
+rate for the windows to judge.  A sample whose quadrature does not
+converge is kept as that failure, and both criteria report it.
 
 Verdicts are three-valued (True / False / None) because horizon limited
 data cannot settle a liminf.
@@ -123,10 +125,10 @@ def _limit_point_verdict(minima, theta):
 
 def _log_S_windows(mu: EigenvalueFunction, grids):
     """log S on each window grid (nearest the horizon first) from one
-    ascending log_S_grid call: the windows are contiguous, so no prefix
-    or tail integral is computed twice."""
+    ascending log_S_grid call with a capped tail: the windows are
+    contiguous, so no prefix or tail integral is computed twice."""
     ascending = grids[::-1]
-    values = log_S_grid(mu, np.concatenate(ascending))
+    values = log_S_grid(mu, np.concatenate(ascending), capped_tail=True)
     return np.split(values, np.cumsum([len(ss) for ss in ascending[:-1]]))[::-1]
 
 

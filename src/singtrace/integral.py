@@ -19,8 +19,9 @@ from (its owner), decides whether it is bisected; one that never passes raises
 QuadratureUnconverged.  The family's jumps are panel edges.  The rule
 evaluates the integrand on at most 400 panels per call, so its
 temporaries stay in cache however long the grid.  The down branch adds
-panels until one changes the sum by less than 1e-14, and raises
-QuadratureUnconverged when none has after 200 panels.
+panels until one changes the sum by less than 1e-14: 200 of width 20,
+then up to 1000 of doubling width.  A capped tail stops after the 200
+and raises QuadratureUnconverged if it has not converged there.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ _TOL = 1e-13  # K21 - G10 test, relative to the owner panel's mass
 _DEPTH = 30  # bisections of one panel
 _MAX_SPLIT = 4096  # panels failing at once: past this the fault is not local
 _PANEL = 20.0  # panel width in s = log x for the quadrature fallback
-_TAIL_PANELS, _TAIL_BATCH = 200, 8  # down branch: panels at most, panels per rule call
+_TAIL_PANELS, _TAIL_BATCH = 200, 8  # down branch: panels of width _PANEL, panels per rule call
+_FAR_PANELS = 1000  # then panels of doubling width; _PANEL * 2^1000 is still finite
 _RULE_BATCH = 400  # panels per log_f call: 8400 nodes, whose temporaries stay in cache
 
 
@@ -188,24 +190,31 @@ def _log_integral(mu: EigenvalueFunction, s1: float, s2: float) -> float:
     return float(np.logaddexp.accumulate(parts)[-1])
 
 
-def _quad_log_S_down(mu: EigenvalueFunction, s: float) -> float:
-    """Panels of width _PANEL from s on, until one adds < 1e-14 relative.
+def _quad_log_S_down(mu: EigenvalueFunction, s: float, capped: bool) -> float:
+    """Panels from s on, until one adds < 1e-14 relative.
 
-    A tail still adding more after _TAIL_PANELS panels raises
-    QuadratureUnconverged instead of returning a partial sum.
+    The first _TAIL_PANELS have width _PANEL.  A tail still adding more
+    after them raises QuadratureUnconverged when capped; otherwise it runs
+    on in up to _FAR_PANELS panels of doubling width before it raises.
     """
     g = g_transform(mu)
+    runs = [s + _PANEL * np.arange(_TAIL_PANELS + 1)]
+    if not capped:
+        runs.append(runs[0][-1] + _PANEL * (2.0 ** np.arange(_FAR_PANELS + 1) - 1.0))
     acc = -math.inf
-    for first in range(0, _TAIL_PANELS, _TAIL_BATCH):
-        edges = s + _PANEL * np.arange(first, first + _TAIL_BATCH + 1)
-        for piece in _log_s_panels(g, edges):
-            new = float(logaddexp(acc, piece))
-            if acc > -math.inf and piece < acc - 34.0:
-                return new
-            acc = new
+    for edges in runs:
+        for first in range(0, len(edges) - 1, _TAIL_BATCH):
+            for piece in _log_s_panels(g, edges[first:first + _TAIL_BATCH + 1]):
+                new = float(logaddexp(acc, piece))
+                if acc > -math.inf and piece < acc - 34.0:
+                    return new
+                acc = new
+    if capped:
+        raise QuadratureUnconverged(
+            f"the tail integral from s = {s:.17g} still grows after {_TAIL_PANELS} panels "
+            f"(s + {_TAIL_PANELS * _PANEL:g})")
     raise QuadratureUnconverged(
-        f"the tail integral from s = {s:.17g} still grows after {_TAIL_PANELS} panels "
-        f"(s + {_TAIL_PANELS * _PANEL:g})")
+        f"the tail integral from s = {s:.17g} still grows at s = {runs[-1][-1]:.17g}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +251,12 @@ def log_S(mu: EigenvalueFunction, s: float) -> float:
     return float(log_S_grid(mu, np.array([s]))[0])
 
 
-def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray) -> np.ndarray:
-    """log S over an ascending grid of s values; one batch of panels for the quadrature fallback."""
+def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray, capped_tail: bool = False) -> np.ndarray:
+    """log S over an ascending grid of s values; one batch of panels for the quadrature fallback.
+
+    capped_tail stops the down branch's tail quadrature 4000 past ss[-1]:
+    a tail still growing there raises QuadratureUnconverged.
+    """
     ss = np.asarray(ss, dtype=float)
     if np.count_nonzero(ss[1:] < ss[:-1]):
         raise ValueError("log_S_grid needs an ascending grid of s values")
@@ -254,7 +267,7 @@ def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray) -> np.ndarray:
     panels = _log_s_panels(g_transform(mu), ss)
     if up:
         return np.logaddexp.accumulate(np.append(_log_integral(mu, -math.inf, ss[0]), panels))
-    down = np.append(_quad_log_S_down(mu, float(ss[-1])), panels[::-1])
+    down = np.append(_quad_log_S_down(mu, float(ss[-1]), capped_tail), panels[::-1])
     return np.logaddexp.accumulate(down)[::-1]
 
 

@@ -474,12 +474,20 @@ def test_log_S_grid_rejects_a_descending_grid():
 
 def test_slow_tail_raises_instead_of_truncating():
     # p = 1.002: the tail integral still grows by e^-8 per 4000 in s, so the
-    # 200-panel cap used to return a partial sum (9.197910 against 9.199025)
-    for mu in (power_log(p=1.002, q=-0.5), power_log(p=1.004, q=0.5)):
+    # 200-panel cap used to return a partial sum (9.197910 against 9.199025).
+    # Capped, the tail raises; uncapped, doubling panels reach the full sum,
+    # e^((1 - p) u) u^(-q) over u > log(x + e): (p - 1)^(q - 1) Gamma(1 - q, (p - 1) u)
+    for p, q in ((1.002, -0.5), (1.004, 0.5), (1.00390625, 1.0)):
+        mu = power_log(p=p, q=q)
         with pytest.raises(QuadratureUnconverged, match="200 panels"):
-            log_S(mu, 10.0)
+            log_S_grid(mu, np.array([10.0]), capped_tail=True)
         with pytest.raises(QuadratureUnconverged):
-            log_S_grid(mu, np.array([10.0, 11.0]))
+            log_S_grid(mu, np.array([10.0, 11.0]), capped_tail=True)
+        with mpmath.workdps(30):
+            eps, u = mpmath.mpf(p) - 1, mpmath.log(mpmath.exp(10) + mpmath.e)
+            want = float(mpmath.log(eps ** (q - 1) * mpmath.gammainc(1 - q, eps * u)))
+        assert log_S(mu, 10.0) == pytest.approx(want, rel=1e-13)
+        np.testing.assert_allclose(log_S_grid(mu, np.array([10.0, 11.0]))[0], want, rtol=1e-13)
 
 
 def _quad_pieces(f, a, b, cuts):
