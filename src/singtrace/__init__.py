@@ -38,7 +38,6 @@ from .functions import (
 )
 from .ideals import (
     FaceAxiomReport,
-    IdealConfig,
     IdealDecision,
     face_axioms_check,
     in_kernel,
@@ -83,7 +82,6 @@ __all__ = [
     "EstimatorConfig",
     "FaceAxiomReport",
     "GFunction",
-    "IdealConfig",
     "IdealDecision",
     "LinearBoundWitness",
     "MatuszewskaReport",

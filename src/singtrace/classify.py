@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotApplicable, QuadratureUnconverged, UndecidedBranch
-from .functions import EigenvalueFunction, GFunction, g_transform
-from .ideals import IdealConfig, IdealDecision, in_kernel, in_principal_ideal
+from .functions import EigenvalueFunction, GFunction, g_transform, knot_grid
+from .ideals import IdealDecision, in_kernel, in_principal_ideal
 from .indices import EstimatorConfig, MatuszewskaReport, _regularity, as_g, is_regular, matuszewska
 from .integral import TraceClassVerdict, is_trace_class, log_S_grid
 
@@ -52,24 +52,22 @@ CRIT_LIMINF = "liminf"
 CRIT_RATIO = "ratio_limit_point"
 
 
+_THETA = 0.01  # near-target threshold for a window hit
+_HORIZON_LOG = 4000.0  # tail horizon in s = log x
+_N_WINDOWS = 4
+_WINDOW_POINTS = 800
+_INDEX_BAND = 0.02  # estimated-mode indecision band around 1
+
+
 @dataclass(frozen=True)
 class ClassifyConfig:
-    theta: float = 0.01  # near-target threshold for a window hit
     ratio_lambda: float = 2.0
-    horizon_log: float = 4000.0  # tail horizon in s = log x
-    n_windows: int = 4
-    window_points: int = 800
-    index_band: float = 0.02  # estimated-mode indecision band around 1
     regular_tol: float = 0.05
     index_config: EstimatorConfig | None = None
 
     def __post_init__(self):
-        if self.theta <= 0 or self.horizon_log <= 0:
-            raise ValueError("theta and horizon_log must be positive")
         if self.ratio_lambda <= 1:
             raise ValueError("ratio_lambda must exceed 1")
-        if self.n_windows < 2 or self.window_points < 8:
-            raise ValueError("need at least 2 windows and 8 points per window")
 
 
 @dataclass
@@ -93,20 +91,9 @@ def _as_mu(fn) -> EigenvalueFunction:
 # dyadic window machinery
 
 
-def _windows(T: float, n: int):
+def _windows(T: float):
     """[(lo, hi)] nearest the horizon first: [T/2, T], [T/4, T/2], ..."""
-    return [(T * 2.0 ** (-(j + 1)), T * 2.0 ** (-j)) for j in range(n)]
-
-
-def _window_grid(g: GFunction, lo: float, hi: float, points: int) -> np.ndarray:
-    ss = np.linspace(lo, hi, points)
-    # the near-target dips of a step profile start right at its jumps
-    extra = []
-    for tau in g.knots_in(lo, hi):
-        extra.extend((tau, min(tau + 1e-9, hi), min(tau + 1.0, hi)))
-    if extra:
-        ss = np.unique(np.concatenate([ss, np.array(extra)]))
-    return ss
+    return [(T * 2.0 ** (-(j + 1)), T * 2.0 ** (-j)) for j in range(_N_WINDOWS)]
 
 
 def _limit_point_verdict(minima, theta):
@@ -132,10 +119,12 @@ def _log_S_windows(mu: EigenvalueFunction, grids):
     return np.split(values, np.cumsum([len(ss) for ss in ascending[:-1]]))[::-1]
 
 
-def _tail_sample(mu: EigenvalueFunction, g: GFunction, T: float, cfg: ClassifyConfig):
+def _tail_sample(mu: EigenvalueFunction, g: GFunction, T: float):
     """Per dyadic window below T, nearest the horizon first: the grid ss,
-    g(ss) and log S(ss), which both tail criteria read."""
-    grids = [_window_grid(g, lo, hi, cfg.window_points) for lo, hi in _windows(T, cfg.n_windows)]
+    g(ss) and log S(ss), which both tail criteria read.  The near-target
+    dips of a step profile start right at its jumps."""
+    grids = [knot_grid(lo, hi, _WINDOW_POINTS, g.knots_in(lo, hi), (0.0, 1e-9, 1.0))
+             for lo, hi in _windows(T)]
     with np.errstate(over="ignore", invalid="ignore"):
         return [(ss, g.eval(ss), ls) for ss, ls in zip(grids, _log_S_windows(mu, grids))]
 
@@ -165,8 +154,7 @@ def _ratio_minima(mu: EigenvalueFunction, sample, lam: float):
                 for lsl, (_, _, ls) in zip(shifted, sample)]
 
 
-def _tail_criterion(mu: EigenvalueFunction, cfg: ClassifyConfig, tc: TraceClassVerdict,
-                    lam: float | None, horizon: float | None,
+def _tail_criterion(mu: EigenvalueFunction, tc: TraceClassVerdict, lam: float | None,
                     samples: dict) -> TraceabilityVerdict:
     """The liminf criterion (lam None) or the ratio criterion at lam.
 
@@ -182,33 +170,31 @@ def _tail_criterion(mu: EigenvalueFunction, cfg: ClassifyConfig, tc: TraceClassV
         tc.is_trace_class
     except UndecidedBranch as exc:
         return TraceabilityVerdict(None, crit, horizon_limited=True, note=str(exc))
-    T = cfg.horizon_log
+    T = _HORIZON_LOG
     if g.horizon_t is not None:
         T = min(T, g.horizon_t - (0.0 if lam is None else math.log(lam)))
-    if horizon is not None:
-        T = min(T, math.log(horizon))
     if T < 4.0:
         return TraceabilityVerdict(None, crit, horizon_limited=True,
                                    note="horizon too short for dyadic windows")
     try:
         if T not in samples:
             try:
-                samples[T] = _tail_sample(mu, g, T, cfg)
+                samples[T] = _tail_sample(mu, g, T)
             except QuadratureUnconverged as exc:
                 samples[T] = exc  # the other criterion fails on it too
         if isinstance(samples[T], QuadratureUnconverged):
             raise samples[T]
         if lam is None:
             minima = _liminf_minima(samples[T])
-            evidence = {"window_minima": tuple(minima), "horizon_log": T, "theta": cfg.theta}
+            evidence = {"window_minima": tuple(minima), "horizon_log": T, "theta": _THETA}
         else:
             minima = _ratio_minima(mu, samples[T], lam)
             evidence = {"window_minima": tuple(minima), "lambda": lam,
-                        "horizon_log": T, "theta": cfg.theta}
+                        "horizon_log": T, "theta": _THETA}
     except QuadratureUnconverged as exc:
         # no trustworthy log S on the windows: say so instead of guessing
         return TraceabilityVerdict(None, crit, horizon_limited=True, note=str(exc))
-    verdict, why = _limit_point_verdict(minima, cfg.theta)
+    verdict, why = _limit_point_verdict(minima, _THETA)
     return TraceabilityVerdict(verdict, crit, evidence=evidence,
                                horizon_limited=g.horizon_t is not None, note=why)
 
@@ -229,7 +215,7 @@ def traceable_by_indices(fn, cfg: ClassifyConfig | None = None,
     ev = {"delta_lower": dl, "delta_upper": du, "mode": rep.mode}
     if rep.mode == "exact":
         return TraceabilityVerdict(dl <= 1.0 <= du, CRIT_INDICES, evidence=ev)
-    band = cfg.index_band
+    band = _INDEX_BAND
     if dl <= 1.0 - band and du >= 1.0 + band:
         verdict = True
     elif dl >= 1.0 + band or du <= 1.0 - band:
@@ -244,21 +230,16 @@ def traceable_by_indices(fn, cfg: ClassifyConfig | None = None,
 # criteria 2 and 3: liminf of x mu(x) / S(x), and 1 as a limit point of S(lam x)/S(x)
 
 
-def traceable_by_liminf(fn, cfg: ClassifyConfig | None = None,
-                        horizon: float | None = None) -> TraceabilityVerdict:
+def traceable_by_liminf(fn) -> TraceabilityVerdict:
     mu = _as_mu(fn)
-    return _tail_criterion(mu, cfg or ClassifyConfig(), is_trace_class(mu), None, horizon, {})
+    return _tail_criterion(mu, is_trace_class(mu), None, {})
 
 
-def traceable_by_ratio(fn, lam: float | None = None,
-                       cfg: ClassifyConfig | None = None,
-                       horizon: float | None = None) -> TraceabilityVerdict:
-    cfg = cfg or ClassifyConfig()
-    lam = cfg.ratio_lambda if lam is None else lam
+def traceable_by_ratio(fn, lam: float = 2.0) -> TraceabilityVerdict:
     if lam <= 1:
         raise ValueError("lam must exceed 1")
     mu = _as_mu(fn)
-    return _tail_criterion(mu, cfg, is_trace_class(mu), lam, horizon, {})
+    return _tail_criterion(mu, is_trace_class(mu), lam, {})
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +285,8 @@ def classify(fn, cfg: ClassifyConfig | None = None) -> ClassificationReport:
     regular, delta = _regularity(rep, cfg.regular_tol)
     v_idx = traceable_by_indices(fn, cfg, report=rep)
     samples = {}  # one window sample per distinct horizon
-    v_lim = _tail_criterion(mu, cfg, tc, None, None, samples)
-    v_rat = _tail_criterion(mu, cfg, tc, cfg.ratio_lambda, None, samples)
+    v_lim = _tail_criterion(mu, tc, None, samples)
+    v_rat = _tail_criterion(mu, tc, cfg.ratio_lambda, samples)
     decided = {v.traceable for v in (v_idx, v_lim, v_rat) if v.traceable is not None}
     return ClassificationReport(
         trace_class=tc,
@@ -339,8 +320,7 @@ class DichotomyResult:
     note: str = ""
 
 
-def dichotomy(A, B, cfg: ClassifyConfig | None = None,
-              ideal_cfg: IdealConfig | None = None) -> DichotomyResult:
+def dichotomy(A, B, cfg: ClassifyConfig | None = None) -> DichotomyResult:
     """Every singular trace on the ideal of B is infinite or zero on A.
 
     Preconditions: A is not singularly traceable and B is regular with
@@ -361,8 +341,8 @@ def dichotomy(A, B, cfg: ClassifyConfig | None = None,
         raise NotApplicable("trace class status of A undecided")
 
     ga, gb = as_g(A), as_g(B)
-    ideal_dec = in_principal_ideal(ga, gb, ideal_cfg)
-    kernel_dec = in_kernel(ga, gb, ideal_cfg)
+    ideal_dec = in_principal_ideal(ga, gb)
+    kernel_dec = in_kernel(ga, gb)
     if report_a.trace_class.is_trace_class:
         outcome, want = OUTCOME_ZERO, kernel_dec.verdict == "member"
         note = "A is trace class, so A lies in the kernel of the ideal of B"

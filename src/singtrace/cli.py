@@ -3,9 +3,10 @@
 Subcommands mirror the library: classify, indices, ideal-check,
 kernel-check, construct, rearrange, dichotomy (alias thm32).  Inputs are
 family JSON files, spectrum CSVs, or an inline family built from
---kind/--p/--q/... flags.  Reports carry every estimator parameter that
-produced them, never a timestamp, so re-running a recorded job
-reproduces the numeric fields bit for bit.
+--kind/--p/--q/... flags.  Reports carry every value a caller can set
+(the detectors' other parameters are fixed constants), never a
+timestamp, so re-running a recorded job reproduces the numeric fields
+bit for bit.
 
 Exit codes: 0 for a decided verdict, 2 for an honest "cannot tell on
 this horizon", 1 for bad inputs or violated preconditions.
@@ -23,7 +24,7 @@ import sys
 from .classify import ClassifyConfig, classify, dichotomy
 from .errors import SingTraceError
 from .functions import EigenvalueFunction
-from .ideals import IdealConfig, in_kernel, in_principal_ideal
+from .ideals import in_kernel, in_principal_ideal
 from .indices import EstimatorConfig, matuszewska
 from .ingest import ParseError, family_from_dict, family_to_dict, load_input
 from .staircase import construct_dominator, construct_vanisher, verify_construction
@@ -113,9 +114,9 @@ def _estimator_flags(parser):
 
 def _criterion_flags(parser):
     _estimator_flags(parser)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
+    parser.add_argument("--lambda", dest="lam", type=float, default=ClassifyConfig.ratio_lambda,
                         help="ratio criterion dilation factor (> 1)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=float, default=ClassifyConfig.regular_tol,
                         help="regularity / index tolerance")
 
 
@@ -160,15 +161,7 @@ def _estimator_config(args) -> EstimatorConfig | None:
 
 
 def _classify_config(args) -> ClassifyConfig:
-    kwargs = {}
-    if args.lam is not None:
-        kwargs["ratio_lambda"] = args.lam
-    if args.tol is not None:
-        kwargs["regular_tol"] = args.tol
-    cfg = _estimator_config(args)
-    if cfg is not None:
-        kwargs["index_config"] = cfg
-    return ClassifyConfig(**kwargs)
+    return ClassifyConfig(args.lam, args.tol, _estimator_config(args))
 
 
 def _verdict_str(v: bool | None) -> str:
@@ -231,13 +224,11 @@ def _cmd_indices(args) -> int:
 
 def _membership(args, checker, label) -> int:
     fa, fb = _resolve_inputs(args, ["input1", "input2"])
-    cfg = IdealConfig()
-    dec = checker(fa, fb, cfg)
+    dec = checker(fa, fb)
     report = {
         "command": label,
         "input_a": family_to_dict(fa),
         "input_b": family_to_dict(fb),
-        "config": cfg,
         "verdict": dec.verdict,
         "mode": dec.mode,
         "witness": dec.witness,

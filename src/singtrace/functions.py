@@ -80,6 +80,16 @@ def log_e_plus(t):
     return out
 
 
+def knot_grid(lo, hi, points, knots, offsets):
+    """points evenly spaced from lo to hi, plus k + d (capped at hi) for each
+    knot k and offset d: a step profile changes right at its jumps."""
+    ss = np.linspace(lo, hi, points)
+    extra = [min(k + d, hi) for k in knots for d in offsets]
+    if extra:
+        ss = np.unique(np.concatenate([ss, np.array(extra)]))
+    return ss
+
+
 # ---------------------------------------------------------------------------
 # growth profiles (exact asymptotics of g, used by the ideal decisions)
 
@@ -924,7 +934,6 @@ class SpectralData:
     """
 
     pairs: tuple
-    total_weight: float | None = None
 
     def __post_init__(self):
         pairs = tuple((float(v), float(w)) for v, w in self.pairs)
@@ -935,10 +944,6 @@ class SpectralData:
             if w <= 0:
                 raise NonpositiveWeight(f"weight {w} is not positive")
         object.__setattr__(self, "pairs", pairs)
-        if self.total_weight is not None and self.total_weight != math.inf:
-            s = math.fsum(w for _, w in pairs)
-            if self.total_weight < s - 1e-9:
-                raise ValueError("total_weight smaller than the sum of weights")
 
     def mass(self):
         return math.fsum(v * w for v, w in self.pairs)

@@ -18,11 +18,11 @@ slope refutation, anything else stays undecided).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import EXP, GFunction, LINLOG, pointwise_min, shift
+from .functions import EXP, GFunction, LINLOG, knot_grid, pointwise_min, shift
 from .errors import NotRegular
 from .indices import as_g, is_regular
 
@@ -31,21 +31,16 @@ NON_MEMBER = "non_member"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class IdealConfig:
-    a_max: float = 50.0
-    a_count: int = 21
-    tail_fraction: float = 0.5
-    horizon_t: float | None = None  # None: adapt to the inputs
-    grid_points: int = 1200
-    slope_margin: float = 0.05
-    kernel_thresholds: tuple = (1.0, 10.0, 100.0)
-
-    def __post_init__(self):
-        if self.a_max <= 0 or self.a_count < 1 or self.grid_points < 16:
-            raise ValueError("bad search parameters")
-        if not 0 < self.tail_fraction < 1:
-            raise ValueError("tail_fraction must lie in (0, 1)")
+# The tail search is fixed.  Its grid covers the last half of the horizon
+# (the inputs' shortest trusted horizon, else 200) in 1200 points.  The
+# horizon ideal tries the shift a = 0, then 21 shifts from -50 to 50.  Two
+# fitted slopes differ when they lie more than the margin apart.
+_TAIL_FRACTION = 0.5
+_HORIZON_T = 200.0
+_GRID_POINTS = 1200
+_SHIFTS = np.concatenate([[0.0], np.linspace(-50.0, 50.0, 21)])
+_SLOPE_MARGIN = 0.05
+_KERNEL_THRESHOLDS = (1.0, 10.0, 100.0)
 
 
 @dataclass
@@ -81,18 +76,12 @@ class IdealDecision:
 # grids and slope fits
 
 
-def _tail_grid(ga: GFunction, gb: GFunction, cfg: IdealConfig):
+def _tail_grid(ga: GFunction, gb: GFunction):
     horizons = [h for h in (ga.horizon_t, gb.horizon_t) if h is not None]
-    T = cfg.horizon_t if cfg.horizon_t is not None else (min(horizons) if horizons else 200.0)
-    lo = cfg.tail_fraction * T
-    ts = np.linspace(lo, T, cfg.grid_points)
-    extra = []
-    for g in (ga, gb):
-        for tau in g.knots_in(lo, T):
-            extra.extend((tau, min(tau + 1.0, T)))
-    if extra:
-        ts = np.unique(np.concatenate([ts, np.array(extra)]))
-    return ts, T
+    T = min(horizons) if horizons else _HORIZON_T
+    lo = _TAIL_FRACTION * T
+    knots = [*ga.knots_in(lo, T), *gb.knots_in(lo, T)]
+    return knot_grid(lo, T, _GRID_POINTS, knots, (0.0, 1.0)), T
 
 
 def _fit_slope(g: GFunction, ts: np.ndarray) -> float:
@@ -130,29 +119,28 @@ def _threshold_ladder(gaps: np.ndarray, ts: np.ndarray, cs) -> tuple:
 # membership: one front end for the ideal and its kernel
 
 
-def in_principal_ideal(ga, gb, cfg: IdealConfig | None = None) -> IdealDecision:
+def in_principal_ideal(ga, gb) -> IdealDecision:
     """Is the profile behind ga in the principal ideal generated by gb?"""
-    return _decide(ga, gb, cfg, kernel=False)
+    return _decide(ga, gb, kernel=False)
 
 
-def in_kernel(ga, gb, cfg: IdealConfig | None = None) -> IdealDecision:
+def in_kernel(ga, gb) -> IdealDecision:
     """Is the profile behind ga in the kernel of the ideal generated by gb?
 
     Membership requires the shifted gap to exceed every constant from
     some point on, so bounded gaps refute it even when the ideal
     membership holds.
     """
-    return _decide(ga, gb, cfg, kernel=True)
+    return _decide(ga, gb, kernel=True)
 
 
-def _decide(ga, gb, cfg, kernel) -> IdealDecision:
+def _decide(ga, gb, kernel) -> IdealDecision:
     """Finite rank exits and the slope refutations both decisions share.
 
     A growth deficit keeps ga out of the ideal, so out of its kernel too;
     what is left goes to the exact or the horizon decision of each.
     """
     ga, gb = as_g(ga), as_g(gb)
-    cfg = cfg or IdealConfig()
     if ga.finite_rank:
         return IdealDecision(
             MEMBER, "exact",
@@ -163,20 +151,20 @@ def _decide(ga, gb, cfg, kernel) -> IdealDecision:
         note = "finite rank base" if kernel else "finite rank base: its ideal is the finite rank ideal"
         return IdealDecision(NON_MEMBER, "exact", note=note)
 
-    ts, T = _tail_grid(ga, gb, cfg)
+    ts, T = _tail_grid(ga, gb)
     pa, pb = ga.profile, gb.profile
     if pa is not None and pb is not None:
         order = _profile_order(pa, pb)
         if order == "lt":
             return _refuted("exact", _exact_slope(pa), _exact_slope(pb),
                             detail="no shift repairs a growth rate deficit")
-        return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T, cfg)
+        return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T)
     sa, sb = _fit_slope(ga, ts), _fit_slope(gb, ts)
     if math.isnan(sa) or math.isnan(sb):
         return IdealDecision(UNDECIDED, "horizon", note="too few finite values of g to fit a slope")
-    if sa < sb - cfg.slope_margin:
+    if sa < sb - _SLOPE_MARGIN:
         return _refuted("horizon", sa, sb, window=(float(ts[0]), float(ts[-1])))
-    return (_horizon_kernel if kernel else _horizon_ideal)(ga, gb, sa, sb, ts, T, cfg)
+    return (_horizon_kernel if kernel else _horizon_ideal)(ga, gb, sa, sb, ts, T)
 
 
 def _member(mode, ts, T, a=0.0, b=0.0, ladder=(), note="") -> IdealDecision:
@@ -227,7 +215,7 @@ def _profile_order(pa, pb):
     return "eq_const"
 
 
-def _exact_ideal(ga, gb, pa, pb, order, ts, T, cfg) -> IdealDecision:
+def _exact_ideal(ga, gb, pa, pb, order, ts, T) -> IdealDecision:
     if order == "exp_pair":
         a = math.log(pb.rate / pa.rate)
         gaps = ga.eval(ts) - gb.eval(ts - a)
@@ -241,9 +229,9 @@ def _exact_ideal(ga, gb, pa, pb, order, ts, T, cfg) -> IdealDecision:
                    note="equal growth: bounded gap absorbed by the vertical shift")
 
 
-def _horizon_ideal(ga, gb, sa, sb, ts, T, cfg) -> IdealDecision:
+def _horizon_ideal(ga, gb, sa, sb, ts, T) -> IdealDecision:
     ga_ts = ga.eval(ts)
-    for a in np.concatenate([[0.0], np.linspace(-cfg.a_max, cfg.a_max, cfg.a_count)]):
+    for a in _SHIFTS:
         gaps = ga_ts - gb.eval(ts - a)
         if np.all(gaps > -math.inf) and _gap_trend_stable(gaps):  # +inf: ga overflowed
             b = float(np.min(gaps))
@@ -255,7 +243,7 @@ def _horizon_ideal(ga, gb, sa, sb, ts, T, cfg) -> IdealDecision:
     )
 
 
-def _exact_kernel(ga, gb, pa, pb, order, ts, T, cfg) -> IdealDecision:
+def _exact_kernel(ga, gb, pa, pb, order, ts, T) -> IdealDecision:
     if order == "eq_const":
         # same slope and log term (a larger log term orders the pair "gt")
         return _refuted("exact", pa.slope, pb.slope,
@@ -265,21 +253,21 @@ def _exact_kernel(ga, gb, pa, pb, order, ts, T, cfg) -> IdealDecision:
         a = math.log(pb.rate / pa.rate) + 1.0
         note = "a horizontal shift scales the rate below any multiple"
     gaps = ga.eval(ts) - gb.eval(ts - a)
-    ladder = _threshold_ladder(gaps, ts, cfg.kernel_thresholds)
+    ladder = _threshold_ladder(gaps, ts, _KERNEL_THRESHOLDS)
     return _member("exact", ts, T, a, ladder=ladder, note=note)
 
 
-def _horizon_kernel(ga, gb, sa, sb, ts, T, cfg) -> IdealDecision:
+def _horizon_kernel(ga, gb, sa, sb, ts, T) -> IdealDecision:
     gaps = ga.eval(ts) - gb.eval(ts)
-    ladder = _threshold_ladder(gaps, ts, cfg.kernel_thresholds)
+    ladder = _threshold_ladder(gaps, ts, _KERNEL_THRESHOLDS)
     crossed = [t0 for _, t0, ok in ladder if ok]
-    full = len(crossed) == len(cfg.kernel_thresholds)
+    full = len(crossed) == len(_KERNEL_THRESHOLDS)
     increasing = full and crossed[-1] > crossed[0]
-    slope_dominant = sa > sb + cfg.slope_margin
+    slope_dominant = sa > sb + _SLOPE_MARGIN
     if (slope_dominant and ladder[0][2]) or (full and increasing):
         return _member("horizon", ts, T, ladder=ladder,
                        note="verified on the trusted horizon only")
-    if not slope_dominant and abs(sa - sb) <= cfg.slope_margin and not ladder[-1][2]:
+    if not slope_dominant and abs(sa - sb) <= _SLOPE_MARGIN and not ladder[-1][2]:
         return IdealDecision(
             UNDECIDED, "horizon",
             note="matching slopes: cannot separate a bounded gap from slow divergence",
@@ -301,7 +289,7 @@ class FaceAxiomReport:
         return not self.violations
 
 
-def face_axioms_check(family, cfg: IdealConfig | None = None) -> FaceAxiomReport:
+def face_axioms_check(family) -> FaceAxiomReport:
     """Closure spot checks for the principal set of each member.
 
     For every base B in the family: membership is closed under pointwise
@@ -311,12 +299,11 @@ def face_axioms_check(family, cfg: IdealConfig | None = None) -> FaceAxiomReport
     fams = [as_g(f) for f in family]
     if not fams:
         raise ValueError("need a nonempty family")
-    cfg = cfg or IdealConfig()
     checks = 0
     violations = []
     probe = np.linspace(5.0, 60.0, 111)
     for bi, base in enumerate(fams):
-        verdicts = [in_principal_ideal(f, base, cfg).verdict for f in fams]
+        verdicts = [in_principal_ideal(f, base).verdict for f in fams]
         members = [i for i, v in enumerate(verdicts) if v == MEMBER]
         # minima of members stay members
         for i in members:
@@ -325,7 +312,7 @@ def face_axioms_check(family, cfg: IdealConfig | None = None) -> FaceAxiomReport
                     continue
                 checks += 1
                 m = pointwise_min(fams[i], fams[j])
-                if in_principal_ideal(m, base, cfg).verdict != MEMBER:
+                if in_principal_ideal(m, base).verdict != MEMBER:
                     violations.append(("min_closure", f"base {bi}: min of {i}, {j} left H(B)"))
         # domination: f member and g >= f on the probe grid forces g member
         for i in members:
@@ -340,7 +327,7 @@ def face_axioms_check(family, cfg: IdealConfig | None = None) -> FaceAxiomReport
                 continue
             for a, b in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]:
                 checks += 1
-                moved = in_principal_ideal(shift(f, a, b), base, cfg).verdict
+                moved = in_principal_ideal(shift(f, a, b), base).verdict
                 if moved != verdicts[i]:
                     violations.append(
                         ("shift", f"base {bi}: candidate {i} changed verdict under shift {(a, b)}")
@@ -348,7 +335,7 @@ def face_axioms_check(family, cfg: IdealConfig | None = None) -> FaceAxiomReport
     return FaceAxiomReport(checks, tuple(violations))
 
 
-def regular_domination(ga, B, cfg: IdealConfig | None = None) -> IdealDecision:
+def regular_domination(ga, B) -> IdealDecision:
     """Membership in the ideal of a regular B via a regular dominated witness.
 
     When A belongs, some shifted copy T of g_B (itself regular, since the
@@ -360,7 +347,7 @@ def regular_domination(ga, B, cfg: IdealConfig | None = None) -> IdealDecision:
         raise NotRegular("the base profile is not regular")
     ga = as_g(ga)
     gb = as_g(B)
-    dec = in_principal_ideal(ga, gb, cfg)
+    dec = in_principal_ideal(ga, gb)
     if dec.verdict == MEMBER and dec.witness is not None:
         dominating = shift(gb, dec.witness.a, dec.witness.b)
         return IdealDecision(dec.verdict, dec.mode, witness=dec.witness,

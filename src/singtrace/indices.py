@@ -37,6 +37,7 @@ from .functions import EigenvalueFunction, GFunction, g_transform
 BIAS_NOTE = (
     "finite tail window: delta_lower is biased up, delta_upper biased down"
 )
+_REGULAR_TOL = 0.05  # how far apart estimated indices may lie for regularity
 
 
 def recip_extended(x):
@@ -194,9 +195,9 @@ def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> M
     )
 
 
-def is_regular(fn, tol: float = 0.05, cfg: EstimatorConfig | None = None, mode: str = "auto"):
+def is_regular(fn, tol: float = _REGULAR_TOL):
     """(regular?, common index) with exact equality in exact mode."""
-    return _regularity(matuszewska(fn, cfg, mode), tol)
+    return _regularity(matuszewska(fn), tol)
 
 
 def _regularity(rep: MatuszewskaReport, tol: float):
@@ -235,8 +236,8 @@ class LinearBoundWitness:
     max_slack: float = 0.0  # worst margin seen on the search grid
 
 
-def _bound_grid(cfg: EstimatorConfig | None, g: GFunction):
-    cfg = cfg or EstimatorConfig.default_for(g)
+def _bound_grid(g: GFunction):
+    cfg = EstimatorConfig.default_for(g)
     horizon = cfg.horizon
     if g.horizon_t is not None:
         horizon = min(horizon, g.horizon_t)
@@ -245,8 +246,7 @@ def _bound_grid(cfg: EstimatorConfig | None, g: GFunction):
     return ts, horizon, step
 
 
-def linear_bound_witness(fn, eps: float, cfg: EstimatorConfig | None = None,
-                         regular_tol: float = 0.05) -> LinearBoundWitness:
+def linear_bound_witness(fn, eps: float) -> LinearBoundWitness:
     """Grid-verified linear bounds on g implied by the indices.
 
     The admissible eps ranges come from 1/delta_lower >= limsup g(t)/t
@@ -258,56 +258,45 @@ def linear_bound_witness(fn, eps: float, cfg: EstimatorConfig | None = None,
     g = as_g(fn)
     if g.finite_rank:
         raise NoWitnessOnHorizon("finite rank: g is eventually infinite")
-    rep = matuszewska(fn, cfg)
+    rep = matuszewska(fn)
     dl, du = rep.delta_lower, rep.delta_upper
-    regular, delta = _regularity(rep, regular_tol)
+    regular, delta = _regularity(rep, _REGULAR_TOL)
 
+    # each bound is sign * (g(t) - slope * t) <= its constant on the grid
     if dl > 1.0:
         if eps >= 1.0 - 1.0 / dl:
             raise PreconditionFailed(
                 f"case upper needs eps < 1 - 1/delta_lower = {1 - 1/dl:.4g}"
             )
-        ts, horizon, step = _bound_grid(cfg, g)
-        gap = g.eval(ts) - (1.0 - eps) * ts
-        if not np.all(np.isfinite(gap)):
-            raise NoWitnessOnHorizon("g has infinite values on the search grid")
-        c = max(float(np.max(gap)), 0.0) + 1e-9
-        return LinearBoundWitness(CASE_UPPER, eps, c=c, horizon=horizon,
-                                  t_step=step, max_slack=float(np.max(gap)) - c)
-    if du < 1.0:
+        case, bounds = CASE_UPPER, ((1.0, 1.0 - eps),)
+    elif du < 1.0:
         if eps >= recip_extended(du) - 1.0:
             raise PreconditionFailed(
                 f"case lower needs eps < 1/delta_upper - 1 = {recip_extended(du) - 1:.4g}"
             )
-        ts, horizon, step = _bound_grid(cfg, g)
-        gap = (1.0 + eps) * ts - g.eval(ts)
-        if not np.all(np.isfinite(gap)):
-            raise NoWitnessOnHorizon("g has infinite values on the search grid")
-        c = max(float(np.max(gap)), 0.0) + 1e-9
-        return LinearBoundWitness(CASE_LOWER, eps, c=c, horizon=horizon,
-                                  t_step=step, max_slack=float(np.max(gap)) - c)
-    if regular and delta is not None and abs(delta - 1.0) <= regular_tol:
-        ts, horizon, step = _bound_grid(cfg, g)
-        gvals = g.eval(ts)
-        low_gap = (1.0 - eps) * ts - gvals
-        high_gap = gvals - (1.0 + eps) * ts
-        if not (np.all(np.isfinite(low_gap)) and np.all(np.isfinite(high_gap))):
-            raise NoWitnessOnHorizon("g has infinite values on the search grid")
-        c1 = max(float(np.max(low_gap)), 0.0) + 1e-9
-        c2 = max(float(np.max(high_gap)), 0.0) + 1e-9
-        return LinearBoundWitness(CASE_TWO_SIDED, eps, c1=c1, c2=c2, horizon=horizon,
-                                  t_step=step,
-                                  max_slack=max(float(np.max(low_gap)) - c1,
-                                                float(np.max(high_gap)) - c2))
-    raise PreconditionFailed(
-        f"indices ({dl:.4g}, {du:.4g}) fit none of the three cases"
-    )
+        case, bounds = CASE_LOWER, ((-1.0, 1.0 + eps),)
+    elif regular and delta is not None and abs(delta - 1.0) <= _REGULAR_TOL:
+        case, bounds = CASE_TWO_SIDED, ((-1.0, 1.0 - eps), (1.0, 1.0 + eps))
+    else:
+        raise PreconditionFailed(
+            f"indices ({dl:.4g}, {du:.4g}) fit none of the three cases"
+        )
+    ts, horizon, step = _bound_grid(g)
+    gvals = g.eval(ts)
+    gaps = np.array([sign * (gvals - slope * ts) for sign, slope in bounds])
+    if not np.all(np.isfinite(gaps)):
+        raise NoWitnessOnHorizon("g has infinite values on the search grid")
+    tops = gaps.max(axis=1).tolist()
+    cs = [max(top, 0.0) + 1e-9 for top in tops]
+    consts = {"c1": cs[0], "c2": cs[1]} if case == CASE_TWO_SIDED else {"c": cs[0]}
+    return LinearBoundWitness(case, eps, horizon=horizon, t_step=step,
+                              max_slack=max(top - c for top, c in zip(tops, cs)), **consts)
 
 
-def verify_linear_bound(fn, witness: LinearBoundWitness, t_step: float | None = None) -> bool:
-    """Recheck a witness on an independent grid (default: twice as fine)."""
+def verify_linear_bound(fn, witness: LinearBoundWitness) -> bool:
+    """Recheck a witness on an independent grid, twice as fine."""
     g = as_g(fn)
-    step = t_step if t_step is not None else witness.t_step / 2.0
+    step = witness.t_step / 2.0
     ts = np.arange(0.0, witness.horizon + step / 2, step)
     gvals = g.eval(ts)
     if witness.case == CASE_UPPER:

@@ -31,6 +31,7 @@ from .errors import SingTraceError
 from .functions import (
     EigenvalueFunction,
     Exponential,
+    Family,
     GFunction,
     GStep,
     PowerLog,
@@ -206,8 +207,11 @@ def load_input(path) -> EigenvalueFunction | GFunction:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     fn = family_from_dict(obj)
-    a = float(obj.get("shift_a", 0.0)) if isinstance(obj, dict) else 0.0
-    b = float(obj.get("shift_b", 0.0)) if isinstance(obj, dict) else 0.0
+    try:
+        a, b = float(obj.get("shift_a", 0.0)), float(obj.get("shift_b", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad shift_a/shift_b ({exc})") from exc
+    Family.check_finite("shift_a and shift_b", a, b)
     if a or b:
         if isinstance(fn, GFunction):
             return fn.shifted(a, b)

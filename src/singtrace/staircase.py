@@ -42,12 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Bounded, ConstructionRange, FiniteRank, VerificationFailed
-from .functions import GFunction, g_step, shift
+from .functions import GFunction, g_step, knot_grid, shift
 from .indices import as_g, matuszewska
 
 VANISHER = "vanisher"
 DOMINATOR = "dominator"
 
+_START_T = 1.0  # the first breakpoint
 _BRACKET_MAX = 1e12
 _BISECT_TOL = 1e-9
 # ITP parameters: truncation kappa1 * width^kappa2 with kappa1 scaled by
@@ -176,13 +177,13 @@ def _itp(g, level, lo, hi, g_lo, g_hi):
     return hi, g_hi
 
 
-def _construct(variant: str, source, n_steps: int, start_t: float) -> StaircaseConstruction:
+def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
     g_src = as_g(source)
     if g_src.finite_rank:
         raise FiniteRank("the source profile has finite rank")
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
-    g0 = g_src(start_t)
+    g0 = g_src(_START_T)
     if not math.isfinite(g0):
         raise FiniteRank("g is infinite at the starting point")
     offset = max(0.0, 1.0 - g0)
@@ -190,8 +191,8 @@ def _construct(variant: str, source, n_steps: int, start_t: float) -> StaircaseC
     phi = math.sqrt if variant == VANISHER else (lambda y: y * y)
     phi_inv = (lambda v: v * v) if variant == VANISHER else math.sqrt
 
-    ts = [float(start_t)]
-    gs = [gA(start_t)]  # gA at each breakpoint, reused from the solver where it has it
+    ts = [_START_T]
+    gs = [gA(_START_T)]  # gA at each breakpoint, reused from the solver where it has it
     for n in range(1, n_steps):
         t_n = ts[-1]
         target_phi = phi(gs[-1]) + (n + 1)
@@ -218,23 +219,29 @@ def _construct(variant: str, source, n_steps: int, start_t: float) -> StaircaseC
         step_values=values,
         source=g_src,
         normalization_offset=offset,
-        start_t=float(start_t),
+        start_t=_START_T,
         rule="greedy minimal breakpoints, margin n+1, analytic inverse or ITP to 1e-9",
     )
 
 
-def construct_vanisher(source, n_steps: int = 40, start_t: float = 1.0) -> StaircaseConstruction:
+def construct_vanisher(source, n_steps: int = 40) -> StaircaseConstruction:
     """Companion whose ideal kernel swallows the source profile."""
-    return _construct(VANISHER, source, n_steps, start_t)
+    return _construct(VANISHER, source, n_steps)
 
 
-def construct_dominator(source, n_steps: int = 40, start_t: float = 1.0) -> StaircaseConstruction:
+def construct_dominator(source, n_steps: int = 40) -> StaircaseConstruction:
     """Companion whose ideal excludes the source profile."""
-    return _construct(DOMINATOR, source, n_steps, start_t)
+    return _construct(DOMINATOR, source, n_steps)
 
 
 # ---------------------------------------------------------------------------
 # verification
+
+# a staircase's indices must collapse to at most 0.1 and at least 10, and
+# its kernel or exclusion condition must hold at each c of the ladder
+_DELTA_LOWER_MAX = 0.1
+_DELTA_UPPER_MIN = 10.0
+_C_VALUES = (1.0, 10.0, 100.0)
 
 
 @dataclass
@@ -245,13 +252,6 @@ class StaircaseVerification:
     delta_upper: float
     condition_t0: tuple  # (c, t0) pairs for the kernel/exclusion condition
     envelope_ok: bool
-
-
-def _condition_grid(s: StaircaseConstruction, horizon: float):
-    t1 = s.breakpoints[0]
-    ss = np.linspace(t1, horizon, 4000)
-    extra = np.array([b for b in s.breakpoints if b <= horizon])
-    return np.unique(np.concatenate([ss, extra, np.minimum(extra + 1e-9, horizon)]))
 
 
 def _slack(bound: np.ndarray) -> np.ndarray:
@@ -267,12 +267,7 @@ def _first_permanent_index(ok: np.ndarray):
     return (bad[-1] + 1) if len(bad) else 0
 
 
-def verify_construction(
-    s: StaircaseConstruction,
-    delta_lower_max: float = 0.1,
-    delta_upper_min: float = 10.0,
-    c_values: tuple = (1.0, 10.0, 100.0),
-) -> StaircaseVerification:
+def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
     """Re-derive every promised property of a staircase from scratch.
 
     Checks, in order: both gap conditions with zero tolerance, the index
@@ -297,14 +292,14 @@ def verify_construction(
 
     stair = s.g()
     rep = matuszewska(stair)
-    if not (rep.delta_lower <= delta_lower_max and rep.delta_upper >= delta_upper_min):
+    if not (rep.delta_lower <= _DELTA_LOWER_MAX and rep.delta_upper >= _DELTA_UPPER_MIN):
         raise VerificationFailed(
             f"indices: ({rep.delta_lower:.4g}, {rep.delta_upper:.4g}) "
-            f"outside [<= {delta_lower_max}, >= {delta_upper_min}]"
+            f"outside [<= {_DELTA_LOWER_MAX}, >= {_DELTA_UPPER_MIN}]"
         )
 
     horizon = stair.horizon_t if stair.horizon_t is not None else bps[-1]
-    ss = _condition_grid(s, horizon)
+    ss = knot_grid(bps[0], horizon, 4000, stair.knots_in(bps[0], horizon), (0.0, 1e-9))
     stair_vals = stair.eval(ss)
     src_vals = s.source.eval(ss)
     norm_vals = gA.eval(ss)
@@ -323,7 +318,7 @@ def verify_construction(
         gap_fn = stair_vals - src_vals  # exclusion: source < c + staircase
 
     t0s = []
-    for c in c_values:
+    for c in _C_VALUES:
         idx = _first_permanent_index(gap_fn > c if s.variant == VANISHER else gap_fn > -c)
         if idx is None:
             raise VerificationFailed(f"condition: threshold c = {c} never permanently met")

@@ -89,6 +89,22 @@ def test_non_finite_descriptions_rejected(capsys, tmp_path, text):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shift, error", [
+    ('"nan"', NonFinite),
+    ("1e400", NonFinite),
+    ('"abc"', ParseError),
+    ("[1]", ParseError),
+])
+def test_bad_shift_fields_rejected(capsys, tmp_path, shift, error):
+    path = tmp_path / "fam.json"
+    path.write_text(f'{{"kind": "power_log", "p": 2, "shift_a": {shift}}}')
+    with pytest.raises(error):
+        load_input(path)
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("row", ["inf,1", "nan,1"])
 def test_cli_rejects_non_finite_spectrum_rows(capsys, tmp_path, row):
     path = tmp_path / "spectrum.csv"
@@ -241,6 +257,24 @@ def test_cli_indices_reports_parameters(capsys):
     assert out["delta_lower"] == pytest.approx(0.5, abs=1e-2)
     assert out["config"]["h_grid"] == [1.0, 2.0, 4.0]
     assert out["config"]["horizon"] == 30.0
+
+
+def test_cli_reports_carry_only_settable_values(capsys, tmp_path):
+    assert main(["classify", "--kind", "power_log", "--p", "1", "--lambda", "4",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out["config"]) == {"ratio_lambda", "regular_tol", "index_config"}
+    assert out["config"]["ratio_lambda"] == 4.0
+    assert out["criteria"]["ratio"]["lambda"] == 4.0
+    # the fixed window threshold and horizon still show in the evidence
+    for name in ("liminf", "ratio"):
+        assert out["criteria"][name]["theta"] == 0.01
+        assert out["criteria"][name]["horizon_log"] == 4000.0
+    a = write_family(tmp_path, "a.json", {"kind": "power_log", "p": 2.0})
+    b = write_family(tmp_path, "b.json", {"kind": "power_log", "p": 1.0})
+    for command in ("ideal-check", "kernel-check"):
+        assert main([command, a, b, "--format", "json"]) == 0
+        assert "config" not in json.loads(capsys.readouterr().out)
 
 
 def test_cli_report_reproducible(capsys, tmp_path):
