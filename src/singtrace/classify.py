@@ -10,11 +10,14 @@ equivalent detectors:
 
 The limit statements are detected numerically on dyadic tail windows of
 the logarithmic coordinate s = log x: window j covers
-[T 2^(-j-1), T 2^(-j)].  Recurrence (a hit below theta in every window)
-and monotone geometric decay of the window minima both count as
-positive evidence; stable minima bounded away from the target refute;
-everything else is honestly undecided.  Oscillating staircase profiles
-produce the recurrence pattern, convergent families the decay pattern.
+[T 2^(-j-1), T 2^(-j)].  Positive evidence is a last window minimum m0
+below theta, minima that shrink by a factor 0.8 or more from window to
+window, and a limit that extrapolates to near 0: with m(T) ~ L + c/T,
+Richardson's L ~ 2 m0 - m1 must be at most m0 / 4.  A hit below theta
+alone is not enough: by Karamata's theorem x mu(x)/S(x) tends to
+|1 - p| for a power-log, a nonzero limit that sits below theta when p
+is near 1.  Stable minima at least 3 theta away from the target refute;
+everything else is honestly undecided.
 
 Both limit statements read the same log S: x mu(x)/S(x) is
 exp(s - g(s) - log S(s)) and S(lam x)/S(x) is exp(log S(s + log lam) -
@@ -97,11 +100,13 @@ def _windows(T: float):
 
 
 def _limit_point_verdict(minima, theta):
-    """Shared decision rule on dyadic-window minima (nearest horizon first)."""
+    """Shared decision rule on dyadic-window minima (nearest horizon first).
+
+    A minimum m(T) ~ L + c/T extrapolates (Richardson, windows halving in
+    T) to L ~ 2 m0 - m1, which must be at most a quarter of m0.
+    """
     m = np.asarray(minima, dtype=float)
-    if np.all(m < theta):
-        return True, "hit below theta in every window"
-    decaying = bool(np.all(m[:-1] <= 0.8 * m[1:] + 1e-300))
+    decaying = bool(np.all(m[:-1] <= 0.8 * m[1:] + 1e-300)) and 2.0 * m[0] - m[1] <= 0.25 * m[0]
     if m[0] < theta and decaying:
         return True, "window minima decay geometrically to a hit"
     stable = m[0] >= 0.5 * float(np.max(m))

@@ -153,15 +153,22 @@ def _estimator_config(args) -> EstimatorConfig | None:
     kwargs = {}
     if args.horizon is not None:
         kwargs["horizon"] = args.horizon
-    if args.h_grid is not None:
-        kwargs["h_grid"] = tuple(float(h) for h in args.h_grid.split(","))
     if args.tail_window is not None:
         kwargs["tail_fraction"] = args.tail_window
-    return dataclasses.replace(base, **kwargs)
+    try:  # an out-of-range flag is bad input, like a bad file
+        if args.h_grid is not None:
+            kwargs["h_grid"] = tuple(float(h) for h in args.h_grid.split(","))
+        return dataclasses.replace(base, **kwargs)
+    except ValueError as exc:
+        raise ParseError(f"estimator flags: {exc}") from None
 
 
 def _classify_config(args) -> ClassifyConfig:
-    return ClassifyConfig(args.lam, args.tol, _estimator_config(args))
+    estimator = _estimator_config(args)
+    try:
+        return ClassifyConfig(args.lam, args.tol, estimator)
+    except ValueError as exc:
+        raise ParseError(f"--lambda: {exc}") from None
 
 
 def _verdict_str(v: bool | None) -> str:

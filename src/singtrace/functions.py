@@ -80,6 +80,126 @@ def log_e_plus(t):
     return out
 
 
+_CF_EPS, _CF_ITERATIONS = 3e-16, 500  # continued fraction: step test and cap
+_SERIES_TERMS = 60  # z < 1: 1/k! falls below 1e-17 of Gamma(a, 1) within about 25
+
+
+def _log_gamma_cf(a, z):
+    """log Gamma(a, z) for z >= 1 by the continued fraction of Gamma(a, z) e^z z^(-a)
+    (modified Lentz, Numerical Recipes' gcf); None where it does not converge.
+    Each entry leaves the loop once its step is within _CF_EPS of 1: after
+    about 85 steps at z = 1 and 6 at z = 100."""
+    out = np.empty(z.shape)
+    idx = np.arange(z.size)
+    b = z + (1.0 - a)
+    d = 1.0 / np.where(b == 0.0, 1e-300, b)
+    c, h = np.full_like(z, 1e300), d.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, _CF_ITERATIONS):
+            if not idx.size:
+                return (a * np.log(z) - z) + np.log(out)
+            an = -i * (i - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            step = d * c
+            h *= step
+            done = np.abs(step - 1.0) <= _CF_EPS
+            if done.any():
+                out[idx[done]] = h[done]
+                keep = ~done
+                idx, b, c, d, h = idx[keep], b[keep], c[keep], d[keep], h[keep]
+    return None
+
+
+def _log_upper_gamma(a, z):
+    """log Gamma(a, z) for real a and z > 0, elementwise; None if a sum fails to converge.
+
+    z >= 1: _log_gamma_cf.  z < 1: Gamma(a, 1) from the fraction plus the
+    integral of t^(a-1) e^(-t) over [z, 1], the series
+    sum_k (-1)^k (1 - z^(a+k)) / (k! (a+k)), whose term at a + k = 0 is
+    -log z; it needs neither Gamma(a) nor a recurrence through a = 0.
+    """
+    z = np.asarray(z, dtype=float)
+    zf = np.atleast_1d(z)
+    big = zf >= 1.0
+    small = ~big
+    at_one = _log_gamma_cf(a, np.append(zf[big], 1.0) if small.any() else zf[big])
+    if at_one is None:
+        return None
+    out = np.empty(zf.shape)
+    out[big] = at_one[:np.count_nonzero(big)]
+    if small.any():
+        lz = np.log(zf[small])
+        total = np.full_like(lz, math.exp(at_one[-1]))
+        inv_fact = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(_SERIES_TERMS):
+                m = a + k
+                piece = -lz if m == 0 else np.expm1(m * lz) / -m  # (1 - z^m) / m
+                total += (inv_fact if k % 2 == 0 else -inv_fact) * piece
+                if inv_fact * np.max(np.abs(piece)) <= 1e-17 * np.min(total):
+                    break
+                inv_fact /= k + 1
+            else:
+                return None
+        if not np.all(np.isfinite(total)):
+            return None  # z^a past the float range
+        out[small] = np.log(total)
+    return out.reshape(z.shape)
+
+
+_CERTIFIED = 1e-17  # the first asymptotic term left out is below this share of the sum
+_ANCHOR_MAX = 512.0  # largest anchor z1; e^z1 stays far inside the float range
+
+
+def _certified_terms(q, z):
+    """Terms (q)_k z^(-k) of e^(-z) z^q F(z), F(z) = e^z z^(-q) sum_k (q)_k z^(-k), up to
+    the first below _CERTIFIED of their sum; None if they start to grow before."""
+    terms, total = [1.0], 1.0
+    while True:
+        nxt = terms[-1] * (q + len(terms) - 1) / z
+        if abs(nxt) > abs(terms[-1]):
+            return None
+        if abs(nxt) <= _CERTIFIED * abs(total):
+            return terms
+        terms.append(nxt)
+        total += nxt
+
+
+def _exp_power_anchor(q, z0):
+    """Where the integral of e^y y^(-q) from z0 > 0 meets its asymptotic antiderivative F.
+
+    F' = e^z z^(-q) (1 - t_K(z)) for F cut before its term t_K, so past a z1
+    where the terms are certified (they shrink, and t_K is below _CERTIFIED
+    of the sum) every z >= z1 is certified too, and the integral to z is
+    F(z) plus D = (integral to z1) - F(z1).  z1 is the first of 8, 10, 12, ...
+    up to _ANCHOR_MAX that is certified, the integral to it the series
+    sum_n (z1^m - z0^m) / (n! m), m = n + 1 - q, of nonnegative terms.
+    Returns z1, the terms at z1 (highest first, for np.polyval in z1/z)
+    and D e^(-z1) z1^q; None past _ANCHOR_MAX or on overflow.
+    """
+    z1 = 8.0
+    while (terms := _certified_terms(q, z1)) is None:
+        z1 += 2.0
+        if z1 > _ANCHOR_MAX:
+            return None
+    l1, l0 = math.log(z1), math.log(z0)
+    weight, total, n = z1 * math.exp(-z1), 0.0, 0  # weight z1^(n+1) e^(-z1) / n!
+    try:
+        while True:
+            m = n + 1 - q
+            term = weight * ((l1 - l0) if m == 0 else -math.expm1(m * (l0 - l1)) / m)
+            total += term
+            if n > z1 and term <= _CERTIFIED * total:
+                break
+            n += 1
+            weight *= z1 / n
+    except OverflowError:
+        return None
+    return z1, np.array(terms[::-1]), total - math.fsum(terms)
+
+
 def knot_grid(lo, hi, points, knots, offsets):
     """points evenly spaced from lo to hi, plus k + d (capped at hi) for each
     knot k and offset d: a step profile changes right at its jumps."""
@@ -223,6 +343,15 @@ class PowerLog(Family):
         g(t) = -log(scale) + p*u(t) + q*log(u(t)),
 
     so the asymptotic slope is p with a q*log(t) correction.
+
+    With w = log(x+e), mu dx = scale e^((1-p) w) w^(-q) dw, so at u = log(x+e)
+
+        S_down = scale (p-1)^(q-1) Gamma(1-q, (p-1) u)                  p > 1,
+        S_up   = scale (1-p)^(q-1) int_{1-p}^{(1-p) u} e^y y^(-q) dy    p < 1,
+
+    elementary for q = 0 and for p = 1.  Gamma comes from _log_upper_gamma;
+    the up integral from its asymptotic antiderivative, wherever that is
+    certified (_exp_power_anchor), and from quadrature below.
     """
 
     scale: float = 1.0
@@ -246,8 +375,15 @@ class PowerLog(Family):
         return self.scale * (x + E) ** (-self.p) * L ** (-self.q)
 
     def g(self, t):
+        # in place, to spare the panels' temporaries; the grouping
+        # (-log scale + p*u) + q*log u keeps every value bit for bit
         u = log_e_plus(t)
-        return -math.log(self.scale) + self.p * u + self.q * np.log(u)
+        out = self.p * u
+        out += -math.log(self.scale)
+        log_u = np.log(u)
+        log_u *= self.q
+        out += log_u
+        return out
 
     @property
     def profile(self):
@@ -256,7 +392,8 @@ class PowerLog(Family):
         )
 
     def log_S_up(self, s):
-        """Closed forms exist for q = 0 and for p = 1; otherwise None."""
+        """Closed forms for q = 0 and for p = 1 with q <= 1; for other p < 1
+        where every point is past the anchor of _exp_power_anchor; otherwise None."""
         u = log_e_plus(s)
         c = math.log(self.scale)
         if self.q == 0 and self.p < 1:
@@ -268,15 +405,32 @@ class PowerLog(Family):
                 return c + np.log(np.log(u))
             if self.q < 1:
                 return c - math.log(1 - self.q) + np.log(u ** (1 - self.q) - 1.0)
+        if self.p < 1 and self._up_anchor is not None:
+            z1, terms, d = self._up_anchor
+            z = (1 - self.p) * u
+            if np.all((z >= z1) & (z < math.inf)):
+                log_f = (z - self.q * np.log(z)) + np.log(np.polyval(terms, z1 / z))
+                with np.errstate(under="ignore"):
+                    log_f += np.log1p(d * np.exp((z1 - self.q * math.log(z1)) - log_f))
+                return (c + (self.q - 1) * math.log(1 - self.p)) + log_f
         return None
 
+    @cached_property
+    def _up_anchor(self):
+        return _exp_power_anchor(self.q, 1 - self.p)
+
     def log_S_down(self, s):
+        """Closed forms for p = 1 < q and for every p > 1; None if the fraction fails."""
         u = log_e_plus(s)
         c = math.log(self.scale)
         if self.q == 0 and self.p > 1:
             return c - math.log(self.p - 1) + (1 - self.p) * u
         if self.p == 1 and self.q > 1:
             return c - math.log(self.q - 1) + (1 - self.q) * np.log(u)
+        if self.p > 1:
+            log_gamma = _log_upper_gamma(1 - self.q, (self.p - 1) * u)
+            if log_gamma is not None:
+                return (c + (self.q - 1) * math.log(self.p - 1)) + log_gamma
         return None
 
     def g_inverse_point(self, y):
@@ -734,7 +888,7 @@ class SampledMu(_StepFamily):
         if self.tail is None:
             return base
         tail_at_end = self.tail.log_S_up(np.asarray(end))
-        tail_at_s = self.tail.log_S_up(s)
+        tail_at_s = self.tail.log_S_up(np.maximum(s, end))
         if tail_at_end is None or tail_at_s is None:
             return None
         extra = logsubexp(tail_at_s, tail_at_end)

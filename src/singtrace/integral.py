@@ -10,7 +10,12 @@ S(lam x)/S(x) and x mu(x)/S(x) feed the traceability criteria; both are
 computed in the log domain (s = log x) so that staircase profiles with
 astronomically large breakpoints never overflow.
 
-Closed forms are used wherever a family carries one.  The fallback is
+Closed forms are used wherever a family carries one: a family's
+log_S_up or log_S_down, moved by the view's shift in _closed_log_S.
+Every power-log with p > 1 has one (an incomplete gamma), and one with
+p < 1 has one once (1 - p) log(x + e) passes the anchor of its
+asymptotic antiderivative; a call with any point below it returns None
+and keeps the panels, as do pointwise minima.  The fallback is
 QUADPACK's qk21 pair on e^(s - g(s)) over panels of width 20 in s (in x
 for the head over (0, 1]), each shifted by its largest exponent.  A panel
 keeps its 21-point Kronrod sum K21; the gap to the 10-point Gauss sum G10
@@ -106,7 +111,10 @@ def _log_rule(log_f, lo, hi):
         if np.any(np.isnan(k)):
             raise QuadratureUnconverged("the integrand is nan inside a panel")
         with np.errstate(invalid="ignore", divide="ignore"):
-            total = np.log(half[:, None] * (np.exp(vals - k) @ _RULE[:, 1:]))
+            # in place: a fresh temporary per batch makes malloc return and
+            # re-fault its pages when the heap trims
+            vals -= k
+            total = np.log(half[:, None] * (np.exp(vals, out=vals) @ _RULE[:, 1:]))
         out[:, i:i + _RULE_BATCH] = np.where(k == -math.inf, -math.inf, k + total).T
     return out
 

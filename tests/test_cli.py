@@ -405,3 +405,13 @@ def test_cli_exponential_against_vanisher_never_crashes(capsys, tmp_path):
             if res.returncode == 0:
                 verdict = json.loads(res.stdout)["verdict"]
                 assert verdict == ("member" if member else "non_member"), (command, a, b)
+
+
+@pytest.mark.parametrize("flag", [["--lambda", "0.5"], ["--tail-window", "2"],
+                                  ["--h-grid", "1,3,4"], ["--h-grid", "1,x"]])
+def test_out_of_range_criterion_flags_exit_1_with_one_line(capsys, flag):
+    # ClassifyConfig and EstimatorConfig reject these; the CLI reports it as bad input
+    assert main(["classify", "--kind", "power_log", "--p", "1", *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("input error: ")

@@ -25,6 +25,9 @@ from singtrace.functions import (
     pure_power,
     sampled,
     step_mu,
+    shift,
+    EigenvalueFunction,
+    MinOf,
     PowerLog,
 )
 from singtrace import integral
@@ -50,6 +53,11 @@ def quad_up(mu, x):
     return val
 
 
+def panel_twin(mu):
+    """min(g, g) of a profile: the same S, read through panels, as MinOf has no closed form."""
+    return g_inverse(pointwise_min(g_transform(mu), g_transform(mu)))
+
+
 def quad_down(mu, x, cutoff=1e8):
     # decade panels keep the adaptive rule honest on huge intervals
     total, lo = 0.0, x
@@ -59,6 +67,38 @@ def quad_down(mu, x, cutoff=1e8):
         total += val
         lo = hi
     return total
+
+
+def mp_log_S(mu, s):
+    """log S of a (shifted) power-log at s = log x, at 30 digits: the incomplete
+    gamma on the down branch; on the up branch the integral of e^y y^(-q) over
+    [1 - p, (1 - p) u] as e^z times the integral of e^(-v) (z - v)^(-q) over [0, z - z0],
+    cut at v = 100.  The cut drops at most 1.6 e^(-100) (z/z0)^q of the integral,
+    below 1e-21 for the q <= 4 and z/z0 <= 2e5 used here; for a large q the
+    part near z0 can dominate, and the cut is then wrong."""
+    fam = mu.family
+    with mpmath.workdps(30):
+        p, q, a = mpmath.mpf(fam.p), mpmath.mpf(fam.q), mpmath.mpf(mu.a)
+        u = mpmath.log(mpmath.exp(mpmath.mpf(s) - a) + mpmath.e)
+        offset = mpmath.log(fam.scale) + a - mpmath.mpf(mu.b)
+        if p > 1:
+            eps = p - 1
+            return float(offset + (q - 1) * mpmath.log(eps)
+                         + mpmath.log(mpmath.gammainc(1 - q, eps * u)))
+        eps = 1 - p
+        z, width = eps * u, min(eps * (u - 1), 100)
+        cuts = [0] + [c for c in (0.25, 1, 4, 16, 64) if c < width] + [width]
+        mass = mpmath.quad(lambda v: mpmath.exp(-v) * (z - v) ** (-q), cuts)
+        return float(offset + (q - 1) * mpmath.log(eps) + z + mpmath.log(mass))
+
+
+def assert_log_S_matches_mpmath(mu, ss, tol=1e-13):
+    """log_S_grid on ss, and log_S at each point, within tol max(1, |log S|) of mpmath."""
+    ss = np.asarray(ss, dtype=float)
+    for s, got in zip(ss, log_S_grid(mu, ss)):
+        want = mp_log_S(mu, s)
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (mu, s, got, want)
+        assert log_S(mu, float(s)) == got
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +185,17 @@ def test_S_exponential_down_branch():
 
 
 def test_S_quadrature_fallback_families():
-    # no closed form: p = 0 pure log decay, and p < 1 with a log factor
+    # no closed form here: p = 0 pure log decay, and p < 1 with a log factor
+    # this far below its asymptotic antiderivative's certified range
     mu = power_log(p=0, q=2)
     for x in [2.0, 50.0]:
         assert S(mu, x) == pytest.approx(quad_up(mu, x), rel=1e-8)
     mu2 = power_log(p=0.5, q=1)
+    assert mu2.family.log_S_up(np.array([math.log(100.0)])) is None
     assert S(mu2, 100.0) == pytest.approx(quad_up(mu2, 100.0), rel=1e-8)
-    mu3 = power_log(p=2, q=1)  # trace class, no closed tail form
-    assert S(mu3, 5.0) == pytest.approx(quad_down(mu3, 5.0, cutoff=1e12), rel=1e-6)
+    # trace class: the panel twin, and the incomplete gamma closed form
+    for mu3 in (panel_twin(power_log(p=2, q=1)), power_log(p=2, q=1)):
+        assert S(mu3, 5.0) == pytest.approx(quad_down(mu3, 5.0, cutoff=1e12), rel=1e-6)
 
 
 def test_S_step_example_both_branches():
@@ -179,7 +222,8 @@ def test_log_S_grid_matches_pointwise():
         power_log(p=1),          # closed form, up
         power_log(p=2),          # closed form, down
         power_log(p=0, q=2),     # quadrature, up
-        power_log(p=2, q=1),     # quadrature, down
+        power_log(p=2, q=1),     # incomplete gamma, down
+        panel_twin(power_log(p=2, q=1)),  # quadrature, down
         exponential(1.0),
     ]
     for mu in fams:
@@ -328,16 +372,20 @@ def test_kronrod_pair_integrates_polynomials():
 
 
 def test_quadrature_classify_evaluates_g_at_few_points(monkeypatch):
-    # 21 g points a panel and pass: 138,776 points in all
+    # 21 g points a panel and pass: 138,776 points in all (counted on the
+    # twin's own g, not on the two sides its minimum reads)
     points = []
 
     def counted(self, t, _eval=GFunction.eval):
-        points.append(np.size(t))
+        if isinstance(self.family, MinOf):
+            points.append(np.size(t))
         return _eval(self, t)
 
     monkeypatch.setattr(GFunction, "eval", counted)
-    classify(power_log(1.3, 1.5, 0.5))
+    classify(panel_twin(power_log(1.3, 1.5, 0.5)))
     assert sum(points) <= 160_000
+    # the power-log itself reads S from the incomplete gamma
+    assert_log_S_matches_mpmath(power_log(1.3, 1.5, 0.5), [250.0, 1000.0, 4000.0])
 
 
 def test_log_rule_passes_at_most_a_batch_of_panels(monkeypatch):
@@ -345,6 +393,7 @@ def test_log_rule_passes_at_most_a_batch_of_panels(monkeypatch):
     # _RULE_BATCH of them at a time, and the batching moves no sum
     ss = np.linspace(10.0, 4000.0, 3200)
     for mu in (power_log(1.3, 1.5, 0.5), power_log(1.3, 0.7, 0.5)):
+        twin = panel_twin(mu)
         sizes = {}  # g call sizes under each batch size
 
         def counted(self, t, _eval=GFunction.eval):
@@ -352,12 +401,18 @@ def test_log_rule_passes_at_most_a_batch_of_panels(monkeypatch):
             return _eval(self, t)
 
         monkeypatch.setattr(GFunction, "eval", counted)
-        batched = log_S_grid(mu, ss)
+        batched = log_S_grid(twin, ss)
         monkeypatch.setattr(integral, "_RULE_BATCH", 10**6)
-        whole = log_S_grid(mu, ss)
+        whole = log_S_grid(twin, ss)
         monkeypatch.undo()
         assert max(sizes[_RULE_BATCH]) <= _RULE_BATCH * len(_RULE) < max(sizes[10**6])
         np.testing.assert_allclose(batched, whole, rtol=1e-14, atol=0)
+        # the power-log's closed form (down) agrees with mpmath; the up branch
+        # has none below its anchor, and there takes the same panels as the twin
+        if mu.family.p > 1:
+            assert_log_S_matches_mpmath(mu, ss[::400])
+        else:
+            np.testing.assert_array_equal(log_S_grid(mu, ss), whole)
 
 
 def test_panel_rule_refuses_an_unresolved_jump():
@@ -376,10 +431,15 @@ def test_panel_rule_refuses_an_unresolved_jump():
 
 def test_log_S_grid_sampled_tail_splits_at_jumps():
     # the samples jump at 0.5, 1 and 2, and at 3 where the tail takes over;
-    # the tail has no closed form for S, so every value comes from the rule
+    # with the tail's closed form switched off every value comes from the
+    # rule, and with it on from the step tables and the incomplete gamma
     mu = sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2], tail=PowerLog(p=1.5, q=0.5))
     ss = np.array([-1.0, 0.2, 0.8, 1.5, 5.0, 50.0])
-    got = log_S_grid(mu, ss)
+    closed = log_S_grid(mu, ss)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PowerLog, "log_S_down", lambda self, s: None)
+        got = log_S_grid(mu, ss)
+    np.testing.assert_allclose(closed, got, rtol=1e-13, atol=0)
 
     def f(y):
         return float(mu(y))
@@ -467,7 +527,8 @@ def test_log_S_grid_on_one_point_and_empty_panels():
 
 def test_log_S_grid_rejects_a_descending_grid():
     # the quadrature path and the closed-form path alike
-    for mu in (power_log(p=1.5, q=0.5), power_log(p=1.5), step_mu([0, 1, 2], [2.0, 1.0])):
+    for mu in (panel_twin(power_log(p=1.5, q=0.5)), power_log(p=1.5, q=0.5),
+               step_mu([0, 1, 2], [2.0, 1.0])):
         with pytest.raises(ValueError, match="ascending"):
             log_S_grid(mu, np.array([3.0, 2.0, 1.0]))
 
@@ -475,19 +536,20 @@ def test_log_S_grid_rejects_a_descending_grid():
 def test_slow_tail_raises_instead_of_truncating():
     # p = 1.002: the tail integral still grows by e^-8 per 4000 in s, so the
     # 200-panel cap used to return a partial sum (9.197910 against 9.199025).
-    # Capped, the tail raises; uncapped, doubling panels reach the full sum,
-    # e^((1 - p) u) u^(-q) over u > log(x + e): (p - 1)^(q - 1) Gamma(1 - q, (p - 1) u)
+    # Capped, the twin's tail raises; uncapped, doubling panels reach the full
+    # sum, e^((1 - p) u) u^(-q) over u > log(x + e): (p - 1)^(q - 1) Gamma(1 - q, (p - 1) u),
+    # which the power-log itself reads from its closed form, capped or not
     for p, q in ((1.002, -0.5), (1.004, 0.5), (1.00390625, 1.0)):
-        mu = power_log(p=p, q=q)
+        mu, twin = power_log(p=p, q=q), panel_twin(power_log(p=p, q=q))
         with pytest.raises(QuadratureUnconverged, match="200 panels"):
-            log_S_grid(mu, np.array([10.0]), capped_tail=True)
+            log_S_grid(twin, np.array([10.0]), capped_tail=True)
         with pytest.raises(QuadratureUnconverged):
-            log_S_grid(mu, np.array([10.0, 11.0]), capped_tail=True)
-        with mpmath.workdps(30):
-            eps, u = mpmath.mpf(p) - 1, mpmath.log(mpmath.exp(10) + mpmath.e)
-            want = float(mpmath.log(eps ** (q - 1) * mpmath.gammainc(1 - q, eps * u)))
-        assert log_S(mu, 10.0) == pytest.approx(want, rel=1e-13)
-        np.testing.assert_allclose(log_S_grid(mu, np.array([10.0, 11.0]))[0], want, rtol=1e-13)
+            log_S_grid(twin, np.array([10.0, 11.0]), capped_tail=True)
+        want = mp_log_S(mu, 10.0)
+        assert log_S(twin, 10.0) == pytest.approx(want, rel=1e-13)
+        np.testing.assert_allclose(log_S_grid(twin, np.array([10.0, 11.0]))[0], want, rtol=1e-13)
+        for got in (log_S(mu, 10.0), log_S_grid(mu, np.array([10.0, 11.0]), capped_tail=True)[0]):
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def _quad_pieces(f, a, b, cuts):
@@ -548,3 +610,83 @@ def test_classify_across_a_pure_power_cap_kink():
                                cap=1.672890310046364)),
         g_transform(power_log(scale=1.0094676907289473, p=1, q=0.6597825237141081)))
     assert classify(g).traceable is True
+
+
+# ---------------------------------------------------------------------------
+# closed forms of power_log off p = 1 (incomplete gamma down, anchored
+# asymptotic antiderivative up) against mpmath
+
+
+def _random_power_logs(rng, n, up):
+    """n power-logs on one branch, q in [-p, 4] with the integers 1, 2, 3 among them."""
+    fams = []
+    for i in range(n):
+        p = rng.uniform(0.0, 0.98) if up else 1.0 + 10 ** rng.uniform(-3.0, math.log10(3.0))
+        q = float(i % 4) if i % 4 else rng.uniform(-p, 4.0)
+        if q == 0.0 or (p == 0.0 and q <= 0):
+            q = 0.5
+        fams.append(PowerLog(scale=rng.uniform(0.5, 2.0), p=p, q=q))
+    return fams
+
+
+def test_power_log_down_closed_form_matches_mpmath():
+    rng = np.random.default_rng(5)
+    for fam in _random_power_logs(rng, 24, up=False):
+        # from z = (p - 1) u < 1 (the series) to the far windows (the fraction)
+        ss = np.sort(np.concatenate([[-3.0, 0.0], rng.uniform(0.5, 60.0, 3),
+                                     rng.uniform(100.0, 4100.0, 3)]))
+        assert fam.log_S_down(ss) is not None
+        assert_log_S_matches_mpmath(EigenvalueFunction(fam), ss)
+        zero_d = fam.log_S_down(np.asarray(ss[3]))
+        assert np.shape(zero_d) == () and zero_d == fam.log_S_down(ss)[3]
+    assert (PowerLog(p=1.001, q=2.0).log_S_down(np.array([0.0])) < 7.0)  # z < 1
+
+
+def test_power_log_up_closed_form_matches_mpmath():
+    rng = np.random.default_rng(6)
+    for fam in _random_power_logs(rng, 12, up=True):
+        z1 = fam._up_anchor[0]
+        s1 = z1 / (1 - fam.p) * (1 + 1e-12)  # u >= s, so z >= z1 from here on
+        ss = np.sort(np.concatenate([[s1], s1 + rng.uniform(0.0, 40.0, 2),
+                                     s1 + rng.uniform(100.0, 4000.0, 2)]))
+        assert fam.log_S_up(ss) is not None
+        assert_log_S_matches_mpmath(EigenvalueFunction(fam), ss)
+        zero_d = fam.log_S_up(np.asarray(ss[1]))
+        assert np.shape(zero_d) == () and zero_d == fam.log_S_up(ss)[1]
+        # one point below the certified range sends the whole call to panels
+        assert fam.log_S_up(np.concatenate([[0.5 * s1], ss])) is None
+
+
+def test_power_log_closed_forms_reach_views_and_sampled_tails():
+    for base in (power_log(1.3, 1.5, 0.5), power_log(0.8, 2.2, -1.2), power_log(1.2, 0.6, 1.5)):
+        s0 = 10.0 if base.family.p > 1 else 200.0
+        ss = s0 + np.array([0.0, 7.5, 300.0])
+        for mu in (dilate(base, 3.0), dilate(base, 0.25),
+                   g_inverse(shift(g_transform(base), 1.5, -0.7))):
+            assert_log_S_matches_mpmath(mu, ss)
+    # a sampled head with a down-branch power-log tail: past the samples S is
+    # the tail's, before them the samples' mass plus the tail's S at their end
+    tail = PowerLog(scale=0.4, p=1.7, q=0.8)
+    mu = sampled([0.0, 1.0, 2.0], [1.0, 0.5, 0.3], tail=tail)
+    end = math.log(2.0)
+    ss = np.array([-1.0, 0.3, end, 3.0, 600.0])
+    got = log_S_grid(mu, ss)
+    for s, val in zip(ss, got):
+        x = math.exp(s)
+        tail_at = mp_log_S(EigenvalueFunction(tail), max(s, end))
+        head = max(1.0 - x, 0.0) + 0.5 * (2.0 - max(x, 1.0)) if x < 2.0 else 0.0
+        want = float(mpmath.log(head + mpmath.exp(tail_at)))
+        assert abs(val - want) <= 1e-13 * max(1.0, abs(want)), (s, val, want)
+
+
+def test_power_log_closed_forms_agree_with_the_panel_twin_on_window_grids():
+    # the grids classify reads: four dyadic windows below s = 4000, and the
+    # same shifted by log 2 for the ratio criterion
+    ss = np.concatenate([np.linspace(4000.0 * 2.0 ** -(j + 1), 4000.0 * 2.0 ** -j, 800)
+                         for j in range(4)][::-1])
+    for p, q in ((1.5, 0.5), (1.45, -0.5), (2.5, 3.0), (1.05, 2.0), (0.7, 0.5), (0.3, -0.2)):
+        mu = power_log(1.3, p, q)
+        for grid in (ss, ss + math.log(2.0)):
+            closed = log_S_grid(mu, grid, capped_tail=True)
+            panels = log_S_grid(panel_twin(mu), grid, capped_tail=True)
+            assert np.all(np.abs(closed - panels) <= 4e-15 * np.maximum(1.0, np.abs(closed)))
