@@ -393,18 +393,26 @@ class PowerLog(Family):
 
     def log_S_up(self, s):
         """Closed forms for q = 0 and for p = 1 with q <= 1; for other p < 1
-        where every point is past the anchor of _exp_power_anchor; otherwise None."""
-        u = log_e_plus(s)
+        where every point is past the anchor of _exp_power_anchor; otherwise None.
+        The elementary forms read u - 1 as v = log1p(e^(s - 1)) below s = 1, where
+        it cancels, and below s = -39 take S = scale e^(-p) x, exact to rounding."""
+        s = np.asarray(s, dtype=float)
         c = math.log(self.scale)
-        if self.q == 0 and self.p < 1:
-            return c - math.log(1 - self.p) + logsubexp((1 - self.p) * u, (1 - self.p))
-        if self.p == 1:
-            if self.q == 0:
-                return c + np.log(u - 1.0)
-            if self.q == 1:
-                return c + np.log(np.log(u))
-            if self.q < 1:
-                return c - math.log(1 - self.q) + np.log(u ** (1 - self.q) - 1.0)
+        if (self.q == 0 and self.p < 1) or (self.p == 1 and self.q <= 1):
+            k = 1 - self.p if self.p < 1 else 1 - self.q
+            off = 0.0 if k == 0 else -math.log(k)
+            if self.p < 1:
+                far, near = lambda u: logsubexp(k * u, k), lambda v: k + np.log(np.expm1(k * v))
+            elif k == 0:
+                far, near = lambda u: np.log(np.log(u)), lambda v: np.log(np.log1p(v))
+            else:
+                far, near = lambda u: np.log(u ** k - 1.0), lambda v: np.log(np.expm1(k * np.log1p(v)))
+            if not np.any(s < 1):
+                return (c + off) + far(log_e_plus(s))
+            v = np.log1p(np.exp(np.clip(s, -39.0, 1.0) - 1.0))
+            return (c + off) + np.where(s >= 1, far(log_e_plus(np.maximum(s, 1.0))),
+                                        np.where(s < -39, s - self.p - off, near(v)))
+        u = log_e_plus(s)
         if self.p < 1 and self._up_anchor is not None:
             z1, terms, d = self._up_anchor
             z = (1 - self.p) * u

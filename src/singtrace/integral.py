@@ -16,17 +16,21 @@ Every power-log with p > 1 has one (an incomplete gamma), and one with
 p < 1 has one once (1 - p) log(x + e) passes the anchor of its
 asymptotic antiderivative; a call with any point below it returns None
 and keeps the panels, as do pointwise minima.  The fallback is
-QUADPACK's qk21 pair on e^(s - g(s)) over panels of width 20 in s (in x
-for the head over (0, 1]), each shifted by its largest exponent.  A panel
-keeps its 21-point Kronrod sum K21; the gap to the 10-point Gauss sum G10
-on the same values, relative to the mass of the grid panel it was cut
-from (its owner), decides whether it is bisected; one that never passes raises
+QUADPACK's qk21 pair on e^(s - g(s)) over panels in s = log x, each
+shifted by its largest exponent.  A panel keeps its 21-point Kronrod sum
+K21; the gap to the 10-point Gauss sum G10 on the same values, relative
+to the mass of the grid panel it was cut from (its owner), decides
+whether it is bisected; one that never passes raises
 QuadratureUnconverged.  The family's jumps are panel edges.  The rule
 evaluates the integrand on at most 400 panels per call, so its
-temporaries stay in cache however long the grid.  The down branch adds
-panels until one changes the sum by less than 1e-14: 200 of width 20,
-then up to 1000 of doubling width.  A capped tail stops after the 200
-and raises QuadratureUnconverged if it has not converged there.
+temporaries stay in cache however long the grid.  Each grid gap is one
+panel; an infinite end (the up branch's head, the down branch's tail,
+mu_mass from x = 0) goes to one march: 200 panels of width 20, then
+panels of doubling width while |s| <= 2^52, until one adds less than
+e^-34 of the sum.  Past 2^52 adjacent floats are at least 1 apart, so
+s - g(s) is only rounding; a sum still growing there raises
+QuadratureUnconverged.  The head is the march left from min(s, 0) plus
+panels of width 20 from there up to the grid.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureUnconverged, SupportExceeded, UndecidedBranch, ZeroDenominator
+from .errors import NonFinite, QuadratureUnconverged, SupportExceeded, UndecidedBranch, ZeroDenominator
 from .functions import EigenvalueFunction, GFunction, g_transform, logaddexp, piece_sum
 
 TRACE_CLASS = "trace_class"
@@ -61,8 +65,8 @@ _TOL = 1e-13  # K21 - G10 test, relative to the owner panel's mass
 _DEPTH = 30  # bisections of one panel
 _MAX_SPLIT = 4096  # panels failing at once: past this the fault is not local
 _PANEL = 20.0  # panel width in s = log x for the quadrature fallback
-_TAIL_PANELS, _TAIL_BATCH = 200, 8  # down branch: panels of width _PANEL, panels per rule call
-_FAR_PANELS = 1000  # then panels of doubling width; _PANEL * 2^1000 is still finite
+_TAIL_PANELS, _TAIL_BATCH = 200, 8  # march: panels of width _PANEL, panels per rule call
+_FAR = 2.0 ** 52  # then doubling panels up to |r| = _FAR: past it floats are >= 1 apart
 _RULE_BATCH = 400  # panels per log_f call: 8400 nodes, whose temporaries stay in cache
 
 
@@ -158,71 +162,52 @@ def _log_masses(log_f, lo, hi):
         f"failed the K21 - G10 error test after {depth} bisections")
 
 
-def _log_panels(log_f, edges, jumps=()):
-    """Log masses between consecutive sorted edges, with the jumps inside as extra edges."""
+def _log_s_panels(g: GFunction, edges):
+    """log integral of e^(r - g(r)) dr between consecutive sorted edges in s,
+    with g's jumps inside as extra edges."""
     edges = np.asarray(edges, dtype=float)
-    cuts = np.union1d(edges, [j for j in jumps if edges[0] < j < edges[-1]])
+    cuts = np.union1d(edges, g.knots_in(edges[0], edges[-1]))
     owner = np.searchsorted(edges, cuts[:-1], side="right") - 1
     out = np.full(len(edges) - 1, -math.inf)
-    np.logaddexp.at(out, owner, _log_masses(log_f, cuts[:-1], cuts[1:]))
+    np.logaddexp.at(out, owner, _log_masses(lambda r: r - g.eval(r), cuts[:-1], cuts[1:]))
     return out
 
 
-def _log_s_panels(g: GFunction, edges):
-    """log integral of e^(r - g(r)) dr between consecutive edges in s."""
-    def log_f(r):
-        return r - g.eval(r)
+def _march(g: GFunction, s: float, step: int, inner):
+    """log integral of e^(r - g(r)) dr from s toward +inf (step 1) or -inf
+    (step -1) in rule calls of _TAIL_BATCH panels, and the log masses of the
+    panels between the sorted edges inner, which end (step 1) or start
+    (step -1) at s.  Those join the first batch's rule call: apart, the
+    bisections next to s would take their rule calls twice."""
+    def run(e):  # log masses between edges in march order, in march order
+        return _log_s_panels(g, e[::step])[::step]
 
-    return _log_panels(log_f, edges, g.knots_in(edges[0], edges[-1]))
-
-
-def _log_integral(mu: EigenvalueFunction, s1: float, s2: float) -> float:
-    """log integral of mu over e^s1 < x < e^s2; s1 = -inf starts at x = 0.
-
-    Below x = 1 the rule runs in x, above it in s = log x over panels of
-    width _PANEL, so no coordinate overflows.
-    """
-    parts = [-math.inf]
-    if s1 < 0:
-        def log_mu(x):
-            with np.errstate(divide="ignore"):
-                return np.log(mu.eval(x))
-
-        scale = math.exp(mu.a)
-        jumps = [e * scale for e in mu.family.edges_x() or ()]
-        x_edges = [math.exp(s1), math.exp(min(s2, 0.0))]
-        parts.append(_log_panels(log_mu, x_edges, jumps)[0])
-    if s2 > 0:
-        s_edges = np.append(np.arange(max(s1, 0.0), s2, _PANEL), s2)
-        parts.extend(_log_s_panels(g_transform(mu), s_edges))
-    return float(np.logaddexp.accumulate(parts)[-1])
-
-
-def _quad_log_S_down(mu: EigenvalueFunction, s: float, capped: bool) -> float:
-    """Panels from s on, until one adds < 1e-14 relative.
-
-    The first _TAIL_PANELS have width _PANEL.  A tail still adding more
-    after them raises QuadratureUnconverged when capped; otherwise it runs
-    on in up to _FAR_PANELS panels of doubling width before it raises.
-    """
-    g = g_transform(mu)
-    runs = [s + _PANEL * np.arange(_TAIL_PANELS + 1)]
-    if not capped:
-        runs.append(runs[0][-1] + _PANEL * (2.0 ** np.arange(_FAR_PANELS + 1) - 1.0))
-    acc = -math.inf
-    for edges in runs:
-        for first in range(0, len(edges) - 1, _TAIL_BATCH):
-            for piece in _log_s_panels(g, edges[first:first + _TAIL_BATCH + 1]):
-                new = float(logaddexp(acc, piece))
-                if acc > -math.inf and piece < acc - 34.0:
-                    return new
-                acc = new
-    if capped:
-        raise QuadratureUnconverged(
-            f"the tail integral from s = {s:.17g} still grows after {_TAIL_PANELS} panels "
-            f"(s + {_TAIL_PANELS * _PANEL:g})")
+    near = s + step * _PANEL * np.arange(_TAIL_PANELS + 1)
+    far = near[-1] + step * _PANEL * (2.0 ** np.arange(1, 64) - 1.0)
+    edges = np.concatenate([near, far[np.abs(far) <= _FAR]])
+    n = len(inner) - 1
+    joint = run(np.concatenate([inner[::step], edges[1:_TAIL_BATCH + 1]]))
+    acc, pieces = -math.inf, joint[n:]
+    for first in range(0, len(edges) - 1, _TAIL_BATCH):
+        if first:
+            pieces = run(edges[first:first + _TAIL_BATCH + 1])
+        for piece in pieces:
+            new = float(logaddexp(acc, piece))
+            if acc > -math.inf and piece < acc - 34.0:
+                return new, joint[:n][::step]
+            acc = new
     raise QuadratureUnconverged(
-        f"the tail integral from s = {s:.17g} still grows at s = {runs[-1][-1]:.17g}")
+        f"the integral from s = {s:.17g} toward {'+' if step > 0 else '-'}inf "
+        f"still grows at s = {edges[-1]:.17g}")
+
+
+def _log_integral(g: GFunction, ss, step: int):
+    """log integral of e^(r - g(r)) dr from each s of the ascending grid ss
+    out to +inf (step 1, the down branch) or -inf (step -1, the up branch);
+    the march starts at ss[-1], or at min(ss[0], 0) below panels up to ss[0]."""
+    s = ss[-1] if step > 0 else min(ss[0], 0.0)
+    total, panels = _march(g, s, step, np.concatenate([np.arange(s, ss[0], _PANEL), ss]))
+    return np.logaddexp.accumulate(np.append(total, panels[::-step]))[::-step][-len(ss):]
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +220,9 @@ def _closed_log_S(mu: EigenvalueFunction, s, up: bool):
     For mu(x) = e^(-b) f(x e^(-a)) both branches scale the same way:
     S(x) = e^(a-b) S_f(x e^(-a)).
     """
-    fam = mu.family
-    base = fam.log_S_up(np.asarray(s, dtype=float) - mu.a) if up else fam.log_S_down(
-        np.asarray(s, dtype=float) - mu.a
-    )
-    if base is None:
-        return None
-    return (mu.a - mu.b) + base
+    s = np.asarray(s, dtype=float) - mu.a
+    base = mu.family.log_S_up(s) if up else mu.family.log_S_down(s)
+    return None if base is None else (mu.a - mu.b) + base
 
 
 def branch_is_up(mu: EigenvalueFunction) -> bool:
@@ -259,24 +240,18 @@ def log_S(mu: EigenvalueFunction, s: float) -> float:
     return float(log_S_grid(mu, np.array([s]))[0])
 
 
-def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray, capped_tail: bool = False) -> np.ndarray:
-    """log S over an ascending grid of s values; one batch of panels for the quadrature fallback.
-
-    capped_tail stops the down branch's tail quadrature 4000 past ss[-1]:
-    a tail still growing there raises QuadratureUnconverged.
-    """
+def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray) -> np.ndarray:
+    """log S over an ascending grid of s values; one batch of panels for the quadrature fallback."""
     ss = np.asarray(ss, dtype=float)
+    if not np.all(np.isfinite(ss)):
+        raise NonFinite("log_S_grid needs finite s values")
     if np.count_nonzero(ss[1:] < ss[:-1]):
         raise ValueError("log_S_grid needs an ascending grid of s values")
     up = branch_is_up(mu)
     closed = _closed_log_S(mu, ss, up)
     if closed is not None:
         return np.asarray(closed, dtype=float)
-    panels = _log_s_panels(g_transform(mu), ss)
-    if up:
-        return np.logaddexp.accumulate(np.append(_log_integral(mu, -math.inf, ss[0]), panels))
-    down = np.append(_quad_log_S_down(mu, float(ss[-1]), capped_tail), panels[::-1])
-    return np.logaddexp.accumulate(down)[::-1]
+    return _log_integral(g_transform(mu), ss, -1 if up else 1)
 
 
 def S(mu: EigenvalueFunction, x: float) -> float:
@@ -324,6 +299,8 @@ def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
 
     Exact piecewise sums for step-like profiles, quadrature otherwise.
     """
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise NonFinite("mu_mass needs finite x1 and x2")
     if x2 < x1 or x1 < 0:
         raise ValueError("need 0 <= x1 <= x2")
     if x2 == x1:
@@ -332,5 +309,8 @@ def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
     if edges is not None:
         scale = math.exp(mu.a)
         return piece_sum(mu.eval, [e * scale for e in edges], x1, x2)
-    s1 = math.log(x1) if x1 > 0 else -math.inf
-    return math.exp(_log_integral(mu, s1, math.log(x2)))
+    g, s2 = g_transform(mu), math.log(x2)
+    if x1 == 0:
+        return math.exp(_log_integral(g, np.array([s2]), -1)[0])
+    edges = np.append(np.arange(math.log(x1), s2, _PANEL), s2)
+    return math.exp(np.logaddexp.reduce(_log_s_panels(g, edges)))

@@ -251,17 +251,25 @@ def _log_S_down_mpmath(p, q, s):
         return float(mpmath.log(eps ** (q - 1) * mpmath.gammainc(1 - q, eps * u)))
 
 
+def _never_converging():
+    """Trace class, but e^(s - g(s)) decays only like s^(-3/2) in s = log x (the
+    p = 1, q = 1.5 side), so the tail gains more than e^-34 of itself on every
+    panel up to s = 2^52, past which s - g(s) is only rounding."""
+    return g_inverse(pointwise_min(g_transform(power_log(p=2, q=0.5)),
+                                   g_transform(power_log(p=1, q=1.5))))
+
+
 def test_unconverged_tail_leaves_the_tail_criteria_undecided():
-    # log S on the windows needs more than the 200-panel tail cap here;
-    # both criteria used to read the truncated sum as "hit below theta"
+    # log S on the windows needs a tail the march cannot finish; both
+    # criteria used to read a truncated sum as "hit below theta"
+    rep = classify(_never_converging())
+    for v in (rep.by_liminf, rep.by_ratio):
+        assert v.traceable is None and v.horizon_limited
+        assert "the integral from s = 4000" in v.note and "still grows" in v.note
+    # the exact indices (1, 1) still decide
+    assert rep.by_indices.traceable is True and rep.traceable is True
     for p, q in ((1.002, -0.5), (1.004, 0.5)):
-        rep = classify(_panel_twin(power_log(p=p, q=q)))
-        for v in (rep.by_liminf, rep.by_ratio):
-            assert v.traceable is None and v.horizon_limited
-            assert "200 panels" in v.note
-        # the exact indices (1/p < 1) still decide
-        assert rep.by_indices.traceable is False and rep.traceable is False
-        # the power-log itself reads its whole tail from the closed form,
+        # near-critical power-logs read their whole tail from the closed form,
         # and the window minima near |1 - p| do not make a hit
         mu = power_log(p=p, q=q)
         rep = classify(mu)
@@ -274,24 +282,40 @@ def test_unconverged_tail_leaves_the_tail_criteria_undecided():
 
 def test_failed_window_sample_is_computed_once(monkeypatch):
     # the liminf criterion's sample raises; the ratio criterion reads that
-    # failure instead of running the same 200-panel tail again
+    # failure instead of marching over the same tail again
     integral_module = importlib.import_module("singtrace.integral")
-    real_down = integral_module._quad_log_S_down
+    real_march = integral_module._march
     calls = []
 
-    def counted_down(*args):
+    def counted_march(*args):
         calls.append(args)
-        return real_down(*args)
+        return real_march(*args)
 
-    monkeypatch.setattr(integral_module, "_quad_log_S_down", counted_down)
-    rep = classify(_panel_twin(power_log(p=1.002, q=-0.5)))
+    monkeypatch.setattr(integral_module, "_march", counted_march)
+    rep = classify(_never_converging())
     assert len(calls) == 1
     assert rep.by_liminf.traceable is None and rep.by_ratio.traceable is None
-    assert rep.by_liminf.note == rep.by_ratio.note and "200 panels" in rep.by_ratio.note
-    # the power-log itself takes no panels at all
+    assert rep.by_liminf.note == rep.by_ratio.note and "still grows" in rep.by_ratio.note
+    # a power-log takes no panels at all
     calls.clear()
     classify(power_log(p=1.002, q=-0.5))
     assert calls == []
+
+
+def test_panel_twin_classifies_like_its_closed_form():
+    # the twin min(g, g) has the power-log's S but reads it through panels;
+    # with one march for every tail both read the same full tail, so every
+    # criterion gives the same verdict and note, near-critical p included
+    rng = np.random.default_rng(3)
+    fams = [(1.0006, 0.5), (1.002, -0.5), (1.004, 0.5), (1.00390625, 1.0)]
+    fams += [(1.0 + 10 ** rng.uniform(-3.3, 0.3), rng.uniform(-0.9, 4.0)) for _ in range(18)]
+    for p, q in fams:
+        want, got = classify(power_log(p=p, q=q)), classify(_panel_twin(power_log(p=p, q=q)))
+        for v, w in zip(got.verdicts, want.verdicts):
+            assert (v.traceable, v.note) == (w.traceable, w.note), (p, q, v.criterion)
+            if v.criterion != "indices":
+                np.testing.assert_allclose(v.evidence["window_minima"],
+                                           w.evidence["window_minima"], rtol=1e-9)
 
 
 def test_near_critical_power_logs_are_never_called_traceable():

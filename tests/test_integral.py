@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from singtrace.classify import classify
 from singtrace.errors import (
+    NonFinite,
     QuadratureUnconverged,
     SingTraceError,
     SupportExceeded,
@@ -509,8 +510,41 @@ def test_panel_log_mass_across_a_pointwise_min_crossing():
     assert abs(got[0] - _mp_log_mass(g_mp, edges, [crossing])[0]) <= 1e-12
 
 
+def test_elementary_S_up_keeps_its_digits_at_small_x():
+    # the q = 0 and p = 1 closed forms hold u - 1 with u = log(x + e), which
+    # cancels at small x: S(power_log(p=1), 1e-17) used to be 0.0
+    ss = np.concatenate([[math.log(5e-324), -700.0, -40.0, -39.0, -38.5],
+                         np.linspace(-30.0, 1.0, 12)])
+    for p, q in ((0.95, 0.0), (0.3, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 0.5), (1.0, -0.7)):
+        got = log_S_grid(power_log(scale=1.7, p=p, q=q), ss)
+        with mpmath.workdps(30):
+            for s, val in zip(ss, got):
+                mass = mpmath.quad(lambda y: 1.7 * (y + E) ** -p * mpmath.log(y + E) ** -q,
+                                   [0, mpmath.exp(float(s))])
+                want = float(mpmath.log(mass))
+                assert abs(val - want) <= 1e-13 * max(1.0, abs(want)), (p, q, s)
+    assert S(power_log(p=1), 1e-17) == pytest.approx(1e-17 / E, rel=1e-15)
+    assert mu_over_S(power_log(p=1), 1e-20) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_non_finite_points_are_rejected():
+    # a nan point used to come back as data: S 0.0, log S -inf or nan
+    for mu in (power_log(p=0.5, q=0.5), power_log(p=1.5), panel_twin(power_log(p=1.5, q=0.5)),
+               step_mu([0, 1, 2], [2.0, 1.0])):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFinite):
+                log_S(mu, bad)
+            with pytest.raises(NonFinite):
+                mu_mass(mu, 0.0, bad)
+        for call in (lambda: S(mu, math.nan), lambda: S(mu, math.inf),
+                     lambda: s_ratio(mu, 2.0, math.nan), lambda: s_ratio(mu, math.nan, 1.5),
+                     lambda: mu_over_S(mu, math.nan), lambda: mu_mass(mu, math.nan, 1.0)):
+            with pytest.raises(NonFinite):
+                call()
+
+
 def test_mu_mass_without_jumps_matches_quadrature():
-    # in x below x = 1 and in log coordinates above it
+    # the march from x = 0 below the first edge, panels in s = log x above it
     for mu in [power_log(p=1.5, q=0.5), power_log(p=0.5, q=1.0)]:
         for x1, x2 in [(0.0, 0.4), (0.3, 50.0), (2.0, 1e4)]:
             want, _ = quad(lambda y: float(mu(y)), x1, x2, epsrel=1e-13, epsabs=0.0, limit=400)
@@ -534,22 +568,30 @@ def test_log_S_grid_rejects_a_descending_grid():
 
 
 def test_slow_tail_raises_instead_of_truncating():
-    # p = 1.002: the tail integral still grows by e^-8 per 4000 in s, so the
+    # p = 1.002: the tail integral still grows by e^-8 per 4000 in s, so a
     # 200-panel cap used to return a partial sum (9.197910 against 9.199025).
-    # Capped, the twin's tail raises; uncapped, doubling panels reach the full
-    # sum, e^((1 - p) u) u^(-q) over u > log(x + e): (p - 1)^(q - 1) Gamma(1 - q, (p - 1) u),
-    # which the power-log itself reads from its closed form, capped or not
+    # The march runs on in doubling panels to the full sum, e^((1 - p) u) u^(-q)
+    # over u > log(x + e): (p - 1)^(q - 1) Gamma(1 - q, (p - 1) u), which the
+    # power-log itself reads from its closed form
     for p, q in ((1.002, -0.5), (1.004, 0.5), (1.00390625, 1.0)):
         mu, twin = power_log(p=p, q=q), panel_twin(power_log(p=p, q=q))
-        with pytest.raises(QuadratureUnconverged, match="200 panels"):
-            log_S_grid(twin, np.array([10.0]), capped_tail=True)
-        with pytest.raises(QuadratureUnconverged):
-            log_S_grid(twin, np.array([10.0, 11.0]), capped_tail=True)
         want = mp_log_S(mu, 10.0)
         assert log_S(twin, 10.0) == pytest.approx(want, rel=1e-13)
         np.testing.assert_allclose(log_S_grid(twin, np.array([10.0, 11.0]))[0], want, rtol=1e-13)
-        for got in (log_S(mu, 10.0), log_S_grid(mu, np.array([10.0, 11.0]), capped_tail=True)[0]):
+        for got in (log_S(mu, 10.0), log_S_grid(mu, np.array([10.0, 11.0]))[0]):
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_tail_still_growing_at_the_last_edge_raises():
+    # trace class, but e^(s - g(s)) decays only like s^(-3/2): no panel adds
+    # less than e^-34 of the sum before s = 2^52, where floats are 1 apart and
+    # s - g(s) is only rounding, so S raises there and names the last edge
+    mu = g_inverse(pointwise_min(g_transform(power_log(p=2, q=0.5)),
+                                 g_transform(power_log(p=1, q=1.5))))
+    with pytest.raises(QuadratureUnconverged, match="still grows at s = ") as info:
+        S(mu, 10.0)
+    last = float(str(info.value).rsplit("= ", 1)[1])
+    assert 2.0 ** 51 < last <= 2.0 ** 52
 
 
 def _quad_pieces(f, a, b, cuts):
@@ -687,6 +729,6 @@ def test_power_log_closed_forms_agree_with_the_panel_twin_on_window_grids():
     for p, q in ((1.5, 0.5), (1.45, -0.5), (2.5, 3.0), (1.05, 2.0), (0.7, 0.5), (0.3, -0.2)):
         mu = power_log(1.3, p, q)
         for grid in (ss, ss + math.log(2.0)):
-            closed = log_S_grid(mu, grid, capped_tail=True)
-            panels = log_S_grid(panel_twin(mu), grid, capped_tail=True)
+            closed = log_S_grid(mu, grid)
+            panels = log_S_grid(panel_twin(mu), grid)
             assert np.all(np.abs(closed - panels) <= 4e-15 * np.maximum(1.0, np.abs(closed)))
