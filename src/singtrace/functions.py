@@ -167,37 +167,50 @@ def _certified_terms(q, z):
         total += nxt
 
 
+def _power_gap(m, log_u):
+    """(1 - u^-m) / m, and log u at m = 0: a term (z^m - z0^m) / m over z^m, u = z / z0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(m == 0, log_u, -np.expm1(-m * log_u) / m)
+
+
 def _exp_power_anchor(q, z0):
-    """Where the integral of e^y y^(-q) from z0 > 0 meets its asymptotic antiderivative F.
+    """The integral I(z) of e^y y^(-q) from z0 > 0: a series up to z1, its asymptotic
+    antiderivative F past it.
 
     F' = e^z z^(-q) (1 - t_K(z)) for F cut before its term t_K, so past a z1
     where the terms are certified (they shrink, and t_K is below _CERTIFIED
-    of the sum) every z >= z1 is certified too, and the integral to z is
-    F(z) plus D = (integral to z1) - F(z1).  z1 is the first of 8, 10, 12, ...
-    up to _ANCHOR_MAX that is certified, the integral to it the series
-    sum_n (z1^m - z0^m) / (n! m), m = n + 1 - q, of nonnegative terms.
-    Returns z1, the terms at z1 (highest first, for np.polyval in z1/z)
-    and D e^(-z1) z1^q; None past _ANCHOR_MAX or on overflow.
+    of the sum) every z >= z1 is certified too, and I = F + I(z1) - F(z1).
+    z1 is the first of 8, 10, 12, ... up to _ANCHOR_MAX that is certified.
+    I(z) = sum_n (z^m - z0^m) / (n! m), m = n + 1 - q, of nonnegative terms,
+    cut past n = z1 below _CERTIFIED of I(z1), and of I(z) for every z < z1.
+    Returns z1, the terms at z1 (highest first, for np.polyval in z1/z),
+    (I(z1) - F(z1)) e^(-z1) z1^q, the coefficients z1^n / (n! m) highest first,
+    C0 = sum_n z0^m / (n! m), both without the term k of least |m| (it would
+    cancel), and (k, m_k); None past _ANCHOR_MAX or on overflow.
     """
     z1 = 8.0
     while (terms := _certified_terms(q, z1)) is None:
         z1 += 2.0
         if z1 > _ANCHOR_MAX:
             return None
-    l1, l0 = math.log(z1), math.log(z0)
-    weight, total, n = z1 * math.exp(-z1), 0.0, 0  # weight z1^(n+1) e^(-z1) / n!
-    try:
-        while True:
-            m = n + 1 - q
-            term = weight * ((l1 - l0) if m == 0 else -math.expm1(m * (l0 - l1)) / m)
-            total += term
-            if n > z1 and term <= _CERTIFIED * total:
-                break
-            n += 1
-            weight *= z1 / n
-    except OverflowError:
+    n = np.arange(int(z1 + 16.0 * math.sqrt(z1)) + 40)
+    m = n + 1.0 - q
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # each term of I(z1) e^(-z1) z1^q: z1^(n+1) e^(-z1) / n! times z1^-m (z1^m - z0^m) / m
+        at_z1 = np.cumprod(np.append(z1 * math.exp(-z1), z1 / n[1:]))
+        at_z1 *= _power_gap(m, math.log(z1) - math.log(z0))
+        total = np.cumsum(at_z1)
+        cut = np.flatnonzero((n > z1) & (at_z1 <= _CERTIFIED * total))
+        if not cut.size or not math.isfinite(total[cut[0]]):
+            return None
+        n, m = n[:cut[0] + 1], m[:cut[0] + 1]
+        k = int(np.argmin(np.abs(m)))
+        coef = np.where(n == k, 0.0, np.cumprod(np.append(1.0, z1 / n[1:])) / m)
+        at_z0 = np.float64(z0) ** (1 - q) * np.cumprod(np.append(1.0, z0 / n[1:])) / m
+        c0 = math.fsum(at_z0[n != k])
+    if not math.isfinite(c0):
         return None
-    return z1, np.array(terms[::-1]), total - math.fsum(terms)
+    return z1, np.array(terms[::-1]), total[cut[0]] - math.fsum(terms), coef[::-1], c0, (k, m[k])
 
 
 def knot_grid(lo, hi, points, knots, offsets):
@@ -350,8 +363,8 @@ class PowerLog(Family):
         S_up   = scale (1-p)^(q-1) int_{1-p}^{(1-p) u} e^y y^(-q) dy    p < 1,
 
     elementary for q = 0 and for p = 1.  Gamma comes from _log_upper_gamma;
-    the up integral from its asymptotic antiderivative, wherever that is
-    certified (_exp_power_anchor), and from quadrature below.
+    the up integral from _exp_power_anchor: its asymptotic antiderivative
+    where that is certified, its series of nonnegative terms below.
     """
 
     scale: float = 1.0
@@ -392,10 +405,10 @@ class PowerLog(Family):
         )
 
     def log_S_up(self, s):
-        """Closed forms for q = 0 and for p = 1 with q <= 1; for other p < 1
-        where every point is past the anchor of _exp_power_anchor; otherwise None.
-        The elementary forms read u - 1 as v = log1p(e^(s - 1)) below s = 1, where
-        it cancels, and below s = -39 take S = scale e^(-p) x, exact to rounding."""
+        """Closed forms for q = 0, for p = 1 with q <= 1, and from _exp_power_anchor
+        for other p < 1: its series term by term for u < 2, by Horner in z/z1 up
+        to z1; None on overflow.  Every form reads u - 1 as v = log1p(e^(s - 1))
+        where it cancels, and below s = -39 takes S = scale e^(-p) x, exact to rounding."""
         s = np.asarray(s, dtype=float)
         c = math.log(self.scale)
         if (self.q == 0 and self.p < 1) or (self.p == 1 and self.q <= 1):
@@ -412,16 +425,42 @@ class PowerLog(Family):
             v = np.log1p(np.exp(np.clip(s, -39.0, 1.0) - 1.0))
             return (c + off) + np.where(s >= 1, far(log_e_plus(np.maximum(s, 1.0))),
                                         np.where(s < -39, s - self.p - off, near(v)))
-        u = log_e_plus(s)
-        if self.p < 1 and self._up_anchor is not None:
-            z1, terms, d = self._up_anchor
-            z = (1 - self.p) * u
-            if np.all((z >= z1) & (z < math.inf)):
-                log_f = (z - self.q * np.log(z)) + np.log(np.polyval(terms, z1 / z))
-                with np.errstate(under="ignore"):
-                    log_f += np.log1p(d * np.exp((z1 - self.q * math.log(z1)) - log_f))
-                return (c + (self.q - 1) * math.log(1 - self.p)) + log_f
-        return None
+        if self.p >= 1 or self._up_anchor is None:
+            return None
+        z1, terms, d, coef, c0, (k, mk) = self._up_anchor
+        q, z0, s1 = self.q, 1 - self.p, np.atleast_1d(s)
+        u = log_e_plus(s1)
+        z = z0 * u
+        high, low = z >= z1, u < 2
+        mid = ~(high | low)
+        log_i = np.empty(z.shape)  # log I(z)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            zh = z[high]
+            log_f = (zh - q * np.log(zh)) + np.log(np.polyval(terms, z1 / zh))
+            log_i[high] = log_f + np.log1p(d * np.exp((z1 - q * math.log(z1)) - log_f))
+            if low.any():
+                # term by term, with log u = log1p(v); z < 2, so the terms
+                # past n = 28 are below 1e-21 of the sum
+                zl, log_u = z[low], np.log1p(np.log1p(np.exp(np.maximum(s1[low], -39.0) - 1.0)))
+                total, power = np.zeros(zl.shape), np.ones(zl.shape)
+                for n in range(28):
+                    total += power * _power_gap(n + 1 - q, log_u)
+                    power *= zl / (n + 1)
+                log_i[low] = (1 - q) * np.log(zl) + np.log(total)
+            if mid.any():
+                # Horner in z/z1 on the table, less C0, plus the term k
+                zm = z[mid]
+                ratio, acc = zm / z1, np.full(zm.shape, coef[0])
+                for a in coef[1:]:
+                    acc *= ratio
+                    acc += a
+                log_i[mid] = np.log(zm ** (1 - q) * acc - c0 + zm ** mk / math.factorial(k)
+                                    * _power_gap(mk, np.log(u[mid])))
+        out = (c + (q - 1) * math.log(z0)) + log_i
+        out[s1 < -39] = (c - self.p) + s1[s1 < -39]
+        if not np.all(out < math.inf):
+            return None  # overflow, or a nan s
+        return out.reshape(np.shape(s))
 
     @cached_property
     def _up_anchor(self):

@@ -12,10 +12,11 @@ astronomically large breakpoints never overflow.
 
 Closed forms are used wherever a family carries one: a family's
 log_S_up or log_S_down, moved by the view's shift in _closed_log_S.
-Every power-log with p > 1 has one (an incomplete gamma), and one with
-p < 1 has one once (1 - p) log(x + e) passes the anchor of its
-asymptotic antiderivative; a call with any point below it returns None
-and keeps the panels, as do pointwise minima.  The fallback is
+Every power-log has one: elementary for q = 0 and p = 1, an incomplete
+gamma for p > 1, and for p < 1 a series of nonnegative terms that meets
+an asymptotic antiderivative at its anchor.  Pointwise minima have none;
+for them, and where a power-log's fraction fails or its anchor
+overflows, the fallback is
 QUADPACK's qk21 pair on e^(s - g(s)) over panels in s = log x, each
 shifted by its largest exponent.  A panel keeps its 21-point Kronrod sum
 K21; the gap to the 10-point Gauss sum G10 on the same values, relative

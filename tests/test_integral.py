@@ -80,14 +80,15 @@ def mp_log_S(mu, s):
     fam = mu.family
     with mpmath.workdps(30):
         p, q, a = mpmath.mpf(fam.p), mpmath.mpf(fam.q), mpmath.mpf(mu.a)
-        u = mpmath.log(mpmath.exp(mpmath.mpf(s) - a) + mpmath.e)
+        w = mpmath.log1p(mpmath.exp(mpmath.mpf(s) - a - 1))  # u - 1, kept where it is tiny
+        u = 1 + w
         offset = mpmath.log(fam.scale) + a - mpmath.mpf(mu.b)
         if p > 1:
             eps = p - 1
             return float(offset + (q - 1) * mpmath.log(eps)
                          + mpmath.log(mpmath.gammainc(1 - q, eps * u)))
         eps = 1 - p
-        z, width = eps * u, min(eps * (u - 1), 100)
+        z, width = eps * u, min(eps * w, 100)
         cuts = [0] + [c for c in (0.25, 1, 4, 16, 64) if c < width] + [width]
         mass = mpmath.quad(lambda v: mpmath.exp(-v) * (z - v) ** (-q), cuts)
         return float(offset + (q - 1) * mpmath.log(eps) + z + mpmath.log(mass))
@@ -186,14 +187,13 @@ def test_S_exponential_down_branch():
 
 
 def test_S_quadrature_fallback_families():
-    # no closed form here: p = 0 pure log decay, and p < 1 with a log factor
-    # this far below its asymptotic antiderivative's certified range
-    mu = power_log(p=0, q=2)
-    for x in [2.0, 50.0]:
-        assert S(mu, x) == pytest.approx(quad_up(mu, x), rel=1e-8)
-    mu2 = power_log(p=0.5, q=1)
-    assert mu2.family.log_S_up(np.array([math.log(100.0)])) is None
-    assert S(mu2, 100.0) == pytest.approx(quad_up(mu2, 100.0), rel=1e-8)
+    # p = 0 pure log decay, and p < 1 with a log factor far below its
+    # asymptotic antiderivative's anchor: the series closed form against
+    # mpmath, and the same S through the panels of the twin against quad
+    for mu, xs in ((power_log(p=0, q=2), [2.0, 50.0]), (power_log(p=0.5, q=1), [100.0])):
+        assert_log_S_matches_mpmath(mu, np.log(xs))
+        for x in xs:
+            assert S(panel_twin(mu), x) == pytest.approx(quad_up(mu, x), rel=1e-8)
     # trace class: the panel twin, and the incomplete gamma closed form
     for mu3 in (panel_twin(power_log(p=2, q=1)), power_log(p=2, q=1)):
         assert S(mu3, 5.0) == pytest.approx(quad_down(mu3, 5.0, cutoff=1e12), rel=1e-6)
@@ -408,12 +408,9 @@ def test_log_rule_passes_at_most_a_batch_of_panels(monkeypatch):
         monkeypatch.undo()
         assert max(sizes[_RULE_BATCH]) <= _RULE_BATCH * len(_RULE) < max(sizes[10**6])
         np.testing.assert_allclose(batched, whole, rtol=1e-14, atol=0)
-        # the power-log's closed form (down) agrees with mpmath; the up branch
-        # has none below its anchor, and there takes the same panels as the twin
-        if mu.family.p > 1:
-            assert_log_S_matches_mpmath(mu, ss[::400])
-        else:
-            np.testing.assert_array_equal(log_S_grid(mu, ss), whole)
+        # the power-log's closed form (the incomplete gamma down, the series
+        # and the asymptotic antiderivative up) agrees with mpmath
+        assert_log_S_matches_mpmath(mu, ss[::400])
 
 
 def test_panel_rule_refuses_an_unresolved_jump():
@@ -695,8 +692,34 @@ def test_power_log_up_closed_form_matches_mpmath():
         assert_log_S_matches_mpmath(EigenvalueFunction(fam), ss)
         zero_d = fam.log_S_up(np.asarray(ss[1]))
         assert np.shape(zero_d) == () and zero_d == fam.log_S_up(ss)[1]
-        # one point below the certified range sends the whole call to panels
-        assert fam.log_S_up(np.concatenate([[0.5 * s1], ss])) is None
+        # a point below the anchor reads the series, and the panels agree
+        below = np.array([0.5 * s1])
+        assert_log_S_matches_mpmath(EigenvalueFunction(fam), below)
+        panels = log_S_grid(panel_twin(EigenvalueFunction(fam)), below)
+        closed = fam.log_S_up(below)
+        assert np.all(np.abs(panels - closed) <= 1e-13 * np.maximum(1.0, np.abs(closed)))
+
+
+def test_power_log_up_series_matches_mpmath_over_the_whole_range():
+    # 1 - p from 1e-6 to 1, q with the integers whose m = n + 1 - q is 0 and
+    # one within 1e-9 of it; s from the smallest double x (the scale e^-p x
+    # limit below s = -39), through u < 2 (term by term), up to and just below
+    # z = z1 (Horner on the table), then past it and on the far windows
+    rng = np.random.default_rng(8)
+    for i, eps in enumerate(10.0 ** np.linspace(-6.0, 0.0, 10)):
+        p = 1.0 - eps
+        q = [rng.uniform(-p, 4.0), 1.0, 2.0, 3.0, 2.0 + 1e-9, 4.0][i % 6]
+        fam = PowerLog(scale=rng.uniform(0.5, 2.0), p=p, q=q)
+        u1 = fam._up_anchor[0] / eps  # z = z1
+        s1 = math.log(math.expm1(u1 - 1.0)) + 1.0 if u1 < 700 else u1
+        ss = np.sort(np.concatenate([[math.log(5e-324), -45.0, -39.0, -12.0, 0.0, 1.0, 1.54,
+                                      1.55, 6.0, s1 * (1 - 1e-9), s1],
+                                     rng.uniform(250.0, 4000.0, 2)]))
+        assert fam.log_S_up(ss) is not None
+        assert_log_S_matches_mpmath(EigenvalueFunction(fam), ss)
+        for k in (0, 4, 8, 10):
+            zero_d = fam.log_S_up(np.asarray(ss[k]))
+            assert np.shape(zero_d) == () and zero_d == fam.log_S_up(ss)[k]
 
 
 def test_power_log_closed_forms_reach_views_and_sampled_tails():
