@@ -227,46 +227,25 @@ def knot_grid(lo, hi, points, knots, offsets):
 # growth profiles (exact asymptotics of g, used by the ideal decisions)
 
 
-LINLOG = "linlog"
-EXP = "exp"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GrowthProfile:
-    """Asymptotic expansion of g.
+    """Asymptotic expansion of g: g(t) = slope*t + log_coeff*log(t) + const + o(1).
 
-    kind "linlog": g(t) = slope*t + log_coeff*log(t) + const + o(1).
-    kind "exp":    g(t) = rate*e^t + O(1); only the rate matters.
+    Its reciprocal slope is the common growth index (1/0 = inf, 1/inf = 0).
+    An exponential, g(t) = rate*e^t + O(1), outgrows every line: its slope
+    is inf and only the rate matters.  The fields run in growth order, so
+    the slower growing of two profiles is the lesser.
     """
 
-    kind: str
-    slope: float = 0.0
+    slope: float
     log_coeff: float = 0.0
     const: float = 0.0
     rate: float = 0.0
 
     def shifted(self, a: float, b: float) -> "GrowthProfile":
-        if self.kind == EXP:
-            return GrowthProfile(EXP, rate=self.rate * math.exp(-a))
-        return GrowthProfile(
-            LINLOG,
-            slope=self.slope,
-            log_coeff=self.log_coeff,
-            const=self.const + b - self.slope * a,
-        )
-
-
-def min_profile(pa: GrowthProfile, pb: GrowthProfile) -> GrowthProfile:
-    """Profile of the pointwise minimum: the slower growing side wins."""
-    if pa.kind == EXP and pb.kind == EXP:
-        return pa if pa.rate <= pb.rate else pb
-    if pa.kind == EXP:
-        return pb
-    if pb.kind == EXP:
-        return pa
-    ka = (pa.slope, pa.log_coeff, pa.const)
-    kb = (pb.slope, pb.log_coeff, pb.const)
-    return pa if ka <= kb else pb
+        if self.slope == math.inf:
+            return GrowthProfile(math.inf, rate=self.rate * math.exp(-a))
+        return GrowthProfile(self.slope, self.log_coeff, self.const + b - self.slope * a)
 
 
 # ---------------------------------------------------------------------------
@@ -288,28 +267,14 @@ class Family:
     rank = None  # total mass of the support of a finite rank profile
 
     @property
-    def exact_indices(self):
-        """Closed form (delta_lower, delta_upper), read off the profile."""
-        p = self.profile
-        if p is None:
-            return None
-        if p.kind == EXP:
-            return (0.0, 0.0)
-        if p.slope > 0:
-            return (1.0 / p.slope, 1.0 / p.slope)
-        return (math.inf, math.inf)
-
-    @property
     def trace_class(self):
         """Integrability of mu, read off the profile; None when unknown."""
         p = self.profile
         if p is None:
             return None
-        return p.kind == EXP or p.slope > 1 or (p.slope == 1 and p.log_coeff > 1)
+        return p.slope > 1 or (p.slope == 1 and p.log_coeff > 1)
 
-    @property
-    def trace_basis(self):
-        return "horizon_only" if self.trace_class is None else "exact"
+    trace_basis = "exact"  # read only where trace_class is not None
 
     @staticmethod
     def check_finite(what, *values, top_inf=False):
@@ -400,9 +365,7 @@ class PowerLog(Family):
 
     @property
     def profile(self):
-        return GrowthProfile(
-            LINLOG, slope=self.p, log_coeff=self.q, const=-math.log(self.scale)
-        )
+        return GrowthProfile(self.p, self.q, -math.log(self.scale))
 
     def log_S_up(self, s):
         """Closed forms for q = 0, for p = 1 with q <= 1, and from _exp_power_anchor
@@ -513,7 +476,7 @@ class Exponential(Family):
 
     @property
     def profile(self):
-        return GrowthProfile(EXP, rate=self.alpha)
+        return GrowthProfile(math.inf, rate=self.alpha)
 
     def log_S_down(self, s):
         s = np.asarray(s, dtype=float)
@@ -564,7 +527,7 @@ class PurePower(Family):
 
     @property
     def profile(self):
-        return GrowthProfile(LINLOG, slope=self.p, const=-math.log(self.scale))
+        return GrowthProfile(self.p, const=-math.log(self.scale))
 
     def log_S_up(self, s):
         if self.p > 1:
@@ -736,7 +699,6 @@ class StepMu(_StepFamily):
         object.__setattr__(self, "values", vals)
 
     finite_rank = True
-    exact_indices = (0.0, 0.0)
     trace_class = True
 
     @property
@@ -810,9 +772,7 @@ class GStep(_StepFamily):
 
     @property
     def trace_basis(self):
-        if self.finite_rank:
-            return "exact"
-        return "tail_model" if self.integrable is not None else "horizon_only"
+        return "exact" if self.finite_rank else "tail_model"
 
     def knots_t(self):
         return self.breakpoints
@@ -837,9 +797,7 @@ class GStep(_StepFamily):
         idx = bisect_right(list(self.values), y)
         if idx >= len(self.values):
             return None
-        if idx == 0:
-            return -math.inf
-        return self.breakpoints[idx - 1]
+        return ((-math.inf,) + self.breakpoints)[idx]  # values[j] holds from breakpoints[j-1]
 
 
 @dataclass(frozen=True)
@@ -847,7 +805,8 @@ class SampledMu(_StepFamily):
     """Piecewise constant samples of a decay profile on an x grid.
 
     Without a tail model every asymptotic operation is restricted to the
-    sampled horizon; with one, the tail family takes over past grid[-1].
+    sampled horizon; with one, the tail family takes over past grid[-1],
+    so the growth profile is the tail's.
     """
 
     grid: tuple
@@ -891,9 +850,11 @@ class SampledMu(_StepFamily):
 
     @property
     def trace_basis(self):
-        if self.tail is not None:
-            return "tail_model"
-        return "exact" if self.finite_rank else "horizon_only"
+        return "exact" if self.tail is None else "tail_model"
+
+    @property
+    def profile(self):
+        return None if self.tail is None else self.tail.profile
 
     def edges_x(self):
         more = self.tail.edges_x() if self.tail is not None else None
@@ -982,11 +943,16 @@ class MinOf(Family):
         return None
 
     @property
+    def trace_basis(self):
+        # a tail model behind either decided side carries over to the minimum
+        sides = [f for f in (self.left.family, self.right.family) if f.trace_class is not None]
+        return "tail_model" if any(f.trace_basis == "tail_model" for f in sides) else "exact"
+
+    @property
     def profile(self):
+        # the slower growing side wins
         pa, pb = self.left.profile, self.right.profile
-        if pa is None or pb is None:
-            return None
-        return min_profile(pa, pb)
+        return None if pa is None or pb is None else min(pa, pb)
 
     def g(self, t):
         return np.minimum(self.left.eval(t), self.right.eval(t))
@@ -1055,6 +1021,9 @@ class _View:
         """The shifted jumps inside [lo, hi]."""
         return [k for k in self.knots_t or () if lo <= k <= hi]
 
+    def shifted(self, a, b):
+        return type(self)(self.family, self.a + a, self.b + b)
+
 
 @dataclass(frozen=True)
 class GFunction(_View):
@@ -1068,15 +1037,14 @@ class GFunction(_View):
         p = self.family.profile
         return None if p is None else p.shifted(self.a, self.b)
 
-    def shifted(self, a, b):
-        return GFunction(self.family, self.a + a, self.b + b)
-
     def mu_view(self):
         return EigenvalueFunction(self.family, self.a, self.b)
 
     def inverse_point(self, y):
         """First t with g(t) > y (analytic families only)."""
         t = self.family.g_inverse_point(y - self.b)
+        if t in (self.family.knots_t() or ()):  # t + a can round back onto the old step
+            return self.knots_t[self.family.knots_t().index(t)]
         return None if t is None else t + self.a
 
 
@@ -1212,7 +1180,7 @@ def dilate(mu: EigenvalueFunction, lam: float) -> EigenvalueFunction:
     if lam <= 0:
         raise NonpositiveLambda(f"dilation parameter must be positive, got {lam}")
     ll = math.log(lam)
-    return EigenvalueFunction(mu.family, mu.a - ll, mu.b - ll)
+    return mu.shifted(-ll, -ll)
 
 
 def shift(g: GFunction, a: float, b: float) -> GFunction:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import EXP, GFunction, LINLOG, knot_grid, pointwise_min, shift
+from .functions import GFunction, knot_grid, pointwise_min, shift
 from .errors import NotRegular
 from .indices import as_g, is_regular
 
@@ -156,7 +156,7 @@ def _decide(ga, gb, kernel) -> IdealDecision:
     if pa is not None and pb is not None:
         order = _profile_order(pa, pb)
         if order == "lt":
-            return _refuted("exact", _exact_slope(pa), _exact_slope(pb),
+            return _refuted("exact", pa.slope, pb.slope,
                             detail="no shift repairs a growth rate deficit")
         return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T)
     sa, sb = _fit_slope(ga, ts), _fit_slope(gb, ts)
@@ -181,11 +181,6 @@ def _refuted(mode, slope_a, slope_b, window=(), detail="") -> IdealDecision:
                          refutation=SlopeCertificate(slope_a, slope_b, basis, window, detail))
 
 
-def _exact_slope(p) -> float:
-    """The slope of an exact profile; exponential growth beats every slope."""
-    return p.slope if p.kind == LINLOG else math.inf
-
-
 def _rank_t(g: GFunction) -> float:
     """Where g turns infinite: the first jump past which g = +inf."""
     knots = g.knots_t
@@ -200,19 +195,13 @@ def _rank_t(g: GFunction) -> float:
 
 
 def _profile_order(pa, pb):
-    """'gt', 'lt', 'eq_const' (same slope and log term), or 'exp_pair'."""
-    if pa.kind == EXP and pb.kind == EXP:
-        return "exp_pair"
-    if pa.kind == EXP:
-        return "gt"
-    if pb.kind == EXP:
-        return "lt"
+    """'gt', 'lt', 'eq_const' (same slope and log term), or 'exp_pair' (both slopes inf)."""
     ka, kb = (pa.slope, pa.log_coeff), (pb.slope, pb.log_coeff)
     if ka > kb:
         return "gt"
     if ka < kb:
         return "lt"
-    return "eq_const"
+    return "exp_pair" if pa.slope == math.inf else "eq_const"
 
 
 def _exact_ideal(ga, gb, pa, pb, order, ts, T) -> IdealDecision:

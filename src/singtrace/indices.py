@@ -153,16 +153,17 @@ def _window_extremes(g: GFunction, h: float, w_lo: float, w_hi: float, t_step: f
 def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> MatuszewskaReport:
     """Index report for a decay profile or its g view.
 
-    mode "auto" uses closed forms when the family carries them,
-    "estimated" forces the window scan (useful as a cross check).
+    mode "auto" reads the indices off the growth profile when the family
+    carries one, "estimated" forces the window scan (useful as a cross check).
     """
     g = as_g(fn)
     if g.finite_rank:
         # increments hit +inf; index machinery is vacuous for finite rank
         return MatuszewskaReport(0.0, 0.0, "exact", finite_rank=True)
-    exact = g.family.exact_indices
-    if exact is not None and mode != "estimated":
-        return MatuszewskaReport(exact[0], exact[1], "exact")
+    p = g.family.profile
+    if p is not None and mode != "estimated":
+        d = recip_extended(p.slope)  # g of slope s has both indices 1/s
+        return MatuszewskaReport(d, d, "exact")
 
     cfg = cfg or EstimatorConfig.default_for(g)
     horizon = cfg.horizon

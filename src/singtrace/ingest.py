@@ -212,8 +212,4 @@ def load_input(path) -> EigenvalueFunction | GFunction:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad shift_a/shift_b ({exc})") from exc
     Family.check_finite("shift_a and shift_b", a, b)
-    if a or b:
-        if isinstance(fn, GFunction):
-            return fn.shifted(a, b)
-        return EigenvalueFunction(fn.family, fn.a + a, fn.b + b)
-    return fn
+    return fn.shifted(a, b)

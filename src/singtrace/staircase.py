@@ -108,11 +108,7 @@ def _tail_integrability(variant, source: GFunction):
     p = source.profile
     if p is None:
         return None
-    if p.kind == "exp":
-        return True
-    if variant == VANISHER:
-        return False
-    return p.slope > 0
+    return p.slope == math.inf or (variant == DOMINATOR and p.slope > 0)
 
 
 def _solve_exceed(g: GFunction, level: float, t_lo: float, horizon: float | None):

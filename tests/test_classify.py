@@ -114,6 +114,19 @@ def test_finite_rank_short_circuits(finite_rank_steps):
             assert "finite rank" in v.note
 
 
+def test_sampled_tail_brings_its_growth_profile():
+    # past grid[-1] g is the tail's g: exact indices, and an exact ideal decision
+    from singtrace.ideals import in_principal_ideal
+
+    mu = sampled([0, 1, 2, 3], [1.0, 0.5, 0.3, 0.2], tail=PowerLog(p=1))
+    rep = classify(mu)
+    assert rep.indices_report.mode == "exact"
+    assert rep.indices_report.indices == (1.0, 1.0)
+    assert rep.by_indices.traceable is True
+    dec = in_principal_ideal(mu, power_log(p=1))
+    assert dec.verdict == "member" and dec.mode == "exact"
+
+
 def test_sampled_without_tail_is_undecided_on_integral_criteria():
     xs = np.exp(np.linspace(0.0, 10.0, 300))
     mu = sampled(xs, 1.0 / xs)

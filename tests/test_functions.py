@@ -431,6 +431,24 @@ def test_shifted_step_knots_are_the_first_float_past_each_jump(seeded_samples):
         np.testing.assert_array_equal(g.eval(before), g.b + g.family.g(np.nextafter(k, -np.inf)))
 
 
+def test_shifted_g_step_inverse_point_is_the_first_float_past_the_jump():
+    # the analytic inverse of a shifted g_step lands on the view's knot, not on
+    # breakpoint + a, which can round back onto the old step
+    rng = np.random.default_rng(1)
+    answers = 0
+    for _ in range(300):
+        scale = rng.choice([1.0, 1e-3, 1e3])
+        bps = scale * np.unique(rng.uniform(-30.0, 30.0, int(rng.integers(1, 12))))
+        vals = np.cumsum(rng.uniform(0.5, 3.0, len(bps) + 1))
+        a = float(rng.choice([-10.0, 10.0]) * rng.choice([1.0, 1e-3, 1e3]) * rng.uniform(0.5, 1.0))
+        g = shift(g_step(bps, vals), a, float(rng.uniform(-5.0, 5.0)))
+        for y in g.b + 0.5 * (vals[:-1] + vals[1:]):  # halfway between steps
+            t = g.inverse_point(float(y))
+            assert g(t) > y and g(np.nextafter(t, -math.inf)) <= y, (g, y, t)
+            answers += 1
+    assert answers > 1000
+
+
 def test_log_e_plus_is_logaddexp_bit_for_bit():
     rng = np.random.default_rng(41)
     n = 20_000

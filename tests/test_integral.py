@@ -134,6 +134,53 @@ def test_trace_class_sampled_with_tail_uses_tail_model():
     assert v.verdict == "trace_class" and v.basis == "tail_model"
 
 
+def _tc(fn):
+    v = is_trace_class(fn if isinstance(fn, EigenvalueFunction) else g_inverse(fn))
+    return v.verdict, v.basis
+
+
+def test_trace_class_basis_of_every_family_kind():
+    inf = math.inf
+    stairs = [0.0, 1.0, 3.0]
+    cases = [
+        (power_log(p=2), ("trace_class", "exact")),
+        (power_log(p=1), ("not_trace_class", "exact")),
+        (exponential(0.3), ("trace_class", "exact")),
+        (step_mu([0, 1, 2], [2.0, 1.0]), ("trace_class", "exact")),
+        (g_step([0.0, 1.0], [0.0, 1.0, inf]), ("trace_class", "exact")),
+        (g_step(stairs, [0, 1, 2, 4], integrable=True), ("trace_class", "tail_model")),
+        (g_step(stairs, [0, 1, 2, 4], integrable=False), ("not_trace_class", "tail_model")),
+        (g_step(stairs, [0, 1, 2, 4]), ("undecided", "horizon_only")),
+        (sampled([0, 1, 2], [1.0, 0.5, 0.2], tail=PowerLog(p=0.5)), ("not_trace_class", "tail_model")),
+        (sampled([0, 1, 2], [1.0, 0.5, 0.0]), ("trace_class", "exact")),
+        (sampled([0, 1, 2], [1.0, 0.5, 0.2]), ("undecided", "horizon_only")),
+        (dilate(power_log(p=2), 3.0), ("trace_class", "exact")),
+        (dilate(sampled([0, 1, 2], [1.0, 0.5, 0.2], tail=PowerLog(p=2)), 3.0), ("trace_class", "tail_model")),
+        (shift(g_transform(exponential(2.0)), 1.0, -0.5), ("trace_class", "exact")),
+        (shift(g_step(stairs, [0, 1, 2, 4], integrable=True), 2.0, 1.0), ("trace_class", "tail_model")),
+        # a minimum rests on a tail model when a decided side does
+        (pointwise_min(g_transform(power_log(p=2)), g_transform(power_log(p=3))), ("trace_class", "exact")),
+        (pointwise_min(g_transform(sampled([0, 1, 2], [1.0, 0.5, 0.2], tail=PowerLog(p=2))),
+                       g_transform(power_log(p=3))), ("trace_class", "tail_model")),
+        (pointwise_min(g_step(stairs, [0, 1, 2, 4], integrable=False), g_transform(power_log(p=3))),
+         ("not_trace_class", "tail_model")),
+        (pointwise_min(g_step(stairs, [0, 1, 2, 4]), g_transform(power_log(p=0.5))),
+         ("not_trace_class", "exact")),
+        (pointwise_min(g_step(stairs, [0, 1, 2, 4]), g_transform(power_log(p=3))),
+         ("undecided", "horizon_only")),
+    ]
+    for fn, want in cases:
+        assert _tc(fn) == want, fn
+
+
+def test_finite_rank_g_step_classifies_as_finite_rank():
+    rep = classify(g_step([0.0, 1.0], [0.0, 1.0, math.inf]))
+    assert rep.finite_rank and rep.trace_class.verdict == "trace_class"
+    assert rep.trace_class.basis == "exact"
+    for v in (rep.by_indices, rep.by_liminf, rep.by_ratio):
+        assert v.traceable is False and v.note == "finite rank: singular traces vanish"
+
+
 def test_trace_class_invariant_under_dilation():
     for fam in [power_log(p=2), power_log(p=0.5)]:
         for lam in [0.5, 2.0, 10.0]:
