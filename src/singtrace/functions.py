@@ -167,6 +167,36 @@ def _certified_terms(q, z):
         total += nxt
 
 
+def _anchor_z1(q):
+    """The first z1 of 8, 10, 12, ... up to _ANCHOR_MAX at which the terms are
+    certified, and those terms; None past _ANCHOR_MAX.
+
+    Certification is monotone in z, so the walk starts at an estimate and
+    steps down while the rung below certifies, or up until one does.  By
+    Stirling the least term is about sqrt(2 pi) z^(q - 1/2) e^(-z) / |Gamma(q)|;
+    the estimate sets it to _CERTIFIED and solves for z by fixed-point steps.
+    For q = 0, -1, ... the terms vanish from k = 1 - q on.
+    """
+    if q <= 0 and float(q).is_integer():
+        z1 = 8.0
+    else:
+        r = 0.5 * math.log(2.0 * math.pi) - math.log(_CERTIFIED) - math.lgamma(q)
+        z1 = max(r, 2.0 * q, 8.0)
+        for _ in range(4):
+            z1 = min(max(r + (q - 0.5) * math.log(z1), 8.0), _ANCHOR_MAX)
+        z1 = 2.0 * math.ceil(z1 / 2.0)
+    terms = _certified_terms(q, z1)
+    if terms is not None:
+        while z1 > 8.0 and (below := _certified_terms(q, z1 - 2.0)) is not None:
+            z1, terms = z1 - 2.0, below
+    while terms is None:
+        z1 += 2.0
+        if z1 > _ANCHOR_MAX:
+            return None
+        terms = _certified_terms(q, z1)
+    return z1, terms
+
+
 def _power_gap(m, log_u):
     """(1 - u^-m) / m, and log u at m = 0: a term (z^m - z0^m) / m over z^m, u = z / z0."""
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -180,7 +210,8 @@ def _exp_power_anchor(q, z0):
     F' = e^z z^(-q) (1 - t_K(z)) for F cut before its term t_K, so past a z1
     where the terms are certified (they shrink, and t_K is below _CERTIFIED
     of the sum) every z >= z1 is certified too, and I = F + I(z1) - F(z1).
-    z1 is the first of 8, 10, 12, ... up to _ANCHOR_MAX that is certified.
+    z1 is the first of 8, 10, 12, ... up to _ANCHOR_MAX that is certified
+    (_anchor_z1).
     I(z) = sum_n (z^m - z0^m) / (n! m), m = n + 1 - q, of nonnegative terms,
     cut past n = z1 below _CERTIFIED of I(z1), and of I(z) for every z < z1.
     Returns z1, the terms at z1 (highest first, for np.polyval in z1/z),
@@ -188,11 +219,10 @@ def _exp_power_anchor(q, z0):
     C0 = sum_n z0^m / (n! m), both without the term k of least |m| (it would
     cancel), and (k, m_k); None past _ANCHOR_MAX or on overflow.
     """
-    z1 = 8.0
-    while (terms := _certified_terms(q, z1)) is None:
-        z1 += 2.0
-        if z1 > _ANCHOR_MAX:
-            return None
+    anchor = _anchor_z1(q)
+    if anchor is None:
+        return None
+    z1, terms = anchor
     n = np.arange(int(z1 + 16.0 * math.sqrt(z1)) + 40)
     m = n + 1.0 - q
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -915,9 +945,51 @@ class SampledMu(_StepFamily):
         return np.where(s >= end, tail_down, logaddexp(base, tail_at_end))
 
 
+def _closed_log_S(view, s, up):
+    """The family's closed form of log S on one branch, with the view's shift
+    adjustment, or None.
+
+    For mu(x) = e^(-b) f(x e^(-a)) both branches scale the same way:
+    S(x) = e^(a-b) S_f(x e^(-a)).
+    """
+    s = np.asarray(s, dtype=float) - view.a
+    base = view.family.log_S_up(s) if up else view.family.log_S_down(s)
+    return None if base is None else (view.a - view.b) + base
+
+
+def _lower_side(left, right):
+    """The side of min(left, right) certified to lie at or below the other on
+    all of t, or None.
+
+    Certified for two PowerLog sides under the same t shift a: with
+    u = log(e^(t - a) + e) > 1 their difference left - right is
+    h(u) = dp u + dq log u + dc, which has at most one extremum on u > 1, at
+    u* = -dq/dp.  So h keeps one sign on all of t when h(1), h(u*) (where
+    u* > 1) and the sign of h as u -> inf agree.
+    """
+    fl, fr = left.family, right.family
+    if not (isinstance(fl, PowerLog) and isinstance(fr, PowerLog)) or left.a != right.a:
+        return None
+    dp, dq = fl.p - fr.p, fl.q - fr.q
+    dc = (left.b - math.log(fl.scale)) - (right.b - math.log(fr.scale))
+    h = [dp + dc, dp or dq or dc]  # h(1), and a value with h's sign as u -> inf
+    if dp and (u := -dq / dp) > 1:
+        h.append(dp * u + dq * math.log(u) + dc)
+    if all(v >= 0 for v in h):
+        return right
+    if all(v <= 0 for v in h):
+        return left
+    return None
+
+
 @dataclass(frozen=True)
 class MinOf(Family):
-    """Pointwise minimum of two G-side functions."""
+    """Pointwise minimum of two G-side functions.
+
+    S is a closed form where one side is certified (_lower_side) to lie
+    below the other on all of t: that side's own, moved by its shift.
+    Otherwise log_S_up and log_S_down return None and S takes panels.
+    """
 
     left: "GFunction"
     right: "GFunction"
@@ -960,6 +1032,16 @@ class MinOf(Family):
     def mu(self, x):
         x = np.asarray(x, dtype=float)
         return np.maximum(self.left.mu_view().eval(x), self.right.mu_view().eval(x))
+
+    @cached_property
+    def _lower(self):
+        return _lower_side(self.left, self.right)
+
+    def log_S_up(self, s):
+        return None if self._lower is None else _closed_log_S(self._lower, s, True)
+
+    def log_S_down(self, s):
+        return None if self._lower is None else _closed_log_S(self._lower, s, False)
 
 
 # ---------------------------------------------------------------------------

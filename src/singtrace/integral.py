@@ -11,14 +11,15 @@ computed in the log domain (s = log x) so that staircase profiles with
 astronomically large breakpoints never overflow.
 
 Closed forms are used wherever a family carries one: a family's
-log_S_up or log_S_down, moved by the view's shift in _closed_log_S.
+log_S_up or log_S_down, moved by the view's shift (functions._closed_log_S).
 Every power-log has one: elementary for q = 0 and p = 1, an incomplete
 gamma for p > 1, and for p < 1 a series of nonnegative terms that meets
-an asymptotic antiderivative at its anchor.  Pointwise minima have none;
-for them, and where a power-log's fraction fails or its anchor
-overflows, the fallback is
-QUADPACK's qk21 pair on e^(s - g(s)) over panels in s = log x, each
-shifted by its largest exponent.  A panel keeps its 21-point Kronrod sum
+an asymptotic antiderivative at its anchor.  A pointwise minimum of two
+power-logs under one t shift has its lower side's, where that side is
+certified to lie below the other for every t.  For other minima, and
+where a power-log's fraction fails or its anchor overflows, the
+fallback is QUADPACK's qk21 pair on e^(s - g(s)) over panels in
+s = log x, each shifted by its largest exponent.  A panel keeps its 21-point Kronrod sum
 K21; the gap to the 10-point Gauss sum G10 on the same values, relative
 to the mass of the grid panel it was cut from (its owner), decides
 whether it is bisected; one that never passes raises
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, QuadratureUnconverged, SupportExceeded, UndecidedBranch, ZeroDenominator
-from .functions import EigenvalueFunction, GFunction, g_transform, logaddexp, piece_sum
+from .functions import EigenvalueFunction, GFunction, _closed_log_S, g_transform, logaddexp, piece_sum
 
 TRACE_CLASS = "trace_class"
 NOT_TRACE_CLASS = "not_trace_class"
@@ -213,17 +214,6 @@ def _log_integral(g: GFunction, ss, step: int):
 
 # ---------------------------------------------------------------------------
 # the S engine
-
-
-def _closed_log_S(mu: EigenvalueFunction, s, up: bool):
-    """Family closed form with the shift adjustment, or None.
-
-    For mu(x) = e^(-b) f(x e^(-a)) both branches scale the same way:
-    S(x) = e^(a-b) S_f(x e^(-a)).
-    """
-    s = np.asarray(s, dtype=float) - mu.a
-    base = mu.family.log_S_up(s) if up else mu.family.log_S_down(s)
-    return None if base is None else (mu.a - mu.b) + base
 
 
 def branch_is_up(mu: EigenvalueFunction) -> bool:

@@ -22,10 +22,13 @@ from singtrace.functions import (
     power_log,
     pure_power,
     sampled,
+    shift,
     step_mu,
 )
 from singtrace.integral import log_S
 from singtrace.staircase import construct_dominator, construct_vanisher
+
+from panel_twin import panel_twin
 
 TRACEABLE = {
     "power_p1": True,
@@ -252,11 +255,6 @@ def test_near_critical_family_is_undecided_not_wrong():
     assert classify(mu).agreement
 
 
-def _panel_twin(mu):
-    """min(g, g) of a profile: the same S, read through panels, as MinOf has no closed form."""
-    return g_inverse(pointwise_min(g_transform(mu), g_transform(mu)))
-
-
 def _log_S_down_mpmath(p, q, s):
     """log of (p - 1)^(q - 1) Gamma(1 - q, (p - 1) log(e^s + e)), the unit-scale down branch."""
     with mpmath.workdps(30):
@@ -267,9 +265,10 @@ def _log_S_down_mpmath(p, q, s):
 def _never_converging():
     """Trace class, but e^(s - g(s)) decays only like s^(-3/2) in s = log x (the
     p = 1, q = 1.5 side), so the tail gains more than e^-34 of itself on every
-    panel up to s = 2^52, past which s - g(s) is only rounding."""
+    panel up to s = 2^52, past which s - g(s) is only rounding.  The sides
+    have different t shifts, so no closed form orders them and S takes panels."""
     return g_inverse(pointwise_min(g_transform(power_log(p=2, q=0.5)),
-                                   g_transform(power_log(p=1, q=1.5))))
+                                   shift(g_transform(power_log(p=1, q=1.5)), 1.0, 0.0)))
 
 
 def test_unconverged_tail_leaves_the_tail_criteria_undecided():
@@ -309,15 +308,18 @@ def test_failed_window_sample_is_computed_once(monkeypatch):
     assert len(calls) == 1
     assert rep.by_liminf.traceable is None and rep.by_ratio.traceable is None
     assert rep.by_liminf.note == rep.by_ratio.note and "still grows" in rep.by_ratio.note
-    # a power-log takes no panels at all, on either side of p = 1
+    # a power-log takes no panels at all, on either side of p = 1, nor does
+    # a minimum whose p = 1 side lies below the other on all of t (the
+    # bench's pointwise_min family)
     calls.clear()
     classify(power_log(p=1.002, q=-0.5))
     classify(power_log(5.947, 0.9794, 3.543))
+    classify(pointwise_min(g_transform(power_log(1.0, 2.0, 0.5)), g_transform(power_log(1.0, 1.0, 0.75))))
     assert calls == []
 
 
 def test_panel_twin_classifies_like_its_closed_form():
-    # the twin min(g, g) has the power-log's S but reads it through panels;
+    # the twin has the power-log's S but reads it through panels;
     # with one march for every tail both read the same full tail, so every
     # criterion gives the same verdict and note, near-critical p on both
     # sides of 1 included (the bench's two up-branch families among them)
@@ -329,7 +331,7 @@ def test_panel_twin_classifies_like_its_closed_form():
              for _ in range(6)]
     for scale, p, q in fams:
         want = classify(power_log(scale, p, q))
-        got = classify(_panel_twin(power_log(scale, p, q)))
+        got = classify(panel_twin(power_log(scale, p, q)))
         for v, w in zip(got.verdicts, want.verdicts):
             assert (v.traceable, v.note) == (w.traceable, w.note), (scale, p, q, v.criterion)
             if v.criterion != "indices":

@@ -14,12 +14,16 @@ from singtrace.errors import (
     NotInfinitesimal,
 )
 from singtrace.functions import (
+    _ANCHOR_MAX,
     DistributionFunction,
     Family,
     GStep,
     PowerLog,
     SpectralData,
     StepMu,
+    _anchor_z1,
+    _certified_terms,
+    _lower_side,
     dilate,
     exponential,
     g_inverse,
@@ -270,6 +274,82 @@ def test_pointwise_min_crossing():
     for t in np.linspace(0, 10, 41):
         want = min(max(0.0, t), max(-5.0, 2 * t - 5.0))
         assert m(float(t)) == pytest.approx(want, abs=1e-12)
+
+
+def test_lower_side_certificate_is_sound():
+    # seeded power-log pairs under one t shift a, with scales, p, q and b
+    # drawn apart (and p or q shared in some): wherever the certificate names
+    # a side, that side lies at or below the other, to rounding, on a dense
+    # t grid that includes the extremum u* of their difference
+    rng = np.random.default_rng(23)
+    offsets = np.concatenate([np.linspace(-40.0, 10.0, 101), np.geomspace(10.0, 1e8, 200)])
+    certified = 0
+    for i in range(3000):
+        a = rng.uniform(-5.0, 5.0)
+        p = rng.uniform(0.01, 3.0, 2)
+        if i % 5 == 0:
+            p[1] = p[0]
+        q = rng.uniform(np.maximum(-p, -1.0), 4.0)
+        if i % 5 == 1:
+            q[:] = max(q)
+        left, right = (shift(g_transform(power_log(rng.uniform(0.2, 5.0), p[k], q[k])), a,
+                             rng.uniform(-3.0, 3.0)) for k in range(2))
+        lower = _lower_side(left, right)
+        if lower is None:
+            continue
+        certified += 1
+        t = a + offsets
+        dp, dq = p[0] - p[1], q[0] - q[1]
+        if dp and -dq / dp > 1:
+            u = -dq / dp  # t at u*: log(e^u - e) past the shift
+            t = np.append(t, a + u + math.log(-math.expm1(1.0 - u)))
+        other = right if lower is left else left
+        below, above = lower.eval(t), other.eval(t)
+        assert np.all(below <= above + 1e-13 * np.maximum(1.0, np.abs(above))), i
+    assert certified > 1000
+
+
+def test_lower_side_certificate_refuses_what_it_cannot_order():
+    f, g = g_transform(power_log(p=2.0, q=0.5)), g_transform(power_log(p=1.0, q=1.5))
+    assert _lower_side(f, g) is g and _lower_side(g, f) is g
+    assert _lower_side(f, f) is not None  # h = 0: either side is the minimum
+    # unequal t shifts, and a side that is no power-log
+    assert _lower_side(f, shift(g, 1.0, 0.0)) is None
+    assert _lower_side(g_transform(power_log(p=2.0)), g_transform(pure_power(p=1.0))) is None
+    # h = u - 3 log u + c has its least value 3 - 3 log 3 + c at u* = 3:
+    # ordered just above zero, crossing just below
+    c = 3.0 * math.log(3.0) - 3.0
+    for eps, want in ((1e-9, True), (-1e-9, False)):
+        f = g_transform(power_log(scale=math.exp(-(c + eps)), p=2.0, q=0.5))
+        g = g_transform(power_log(p=1.0, q=3.5))
+        assert (_lower_side(f, g) is g) is want and (_lower_side(g, f) is g) is want
+    # pairs that cross, as in the panel tests of pointwise_min kinks
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        p2 = rng.uniform(0.5, 2.0)
+        p1, q1, q2 = p2 + rng.uniform(0.3, 3.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        ut = math.log(math.exp(rng.uniform(5.0, 150.0)) + math.e)
+        log_scale2 = -(p1 - p2) * ut - (q1 - q2) * math.log(ut)
+        assert _lower_side(g_transform(power_log(p=p1, q=q1)),
+                           g_transform(power_log(scale=math.exp(log_scale2), p=p2, q=q2))) is None
+
+
+def test_anchor_z1_is_the_first_certified_rung_of_the_ladder():
+    # the walk from the Stirling estimate stops where the linear ladder
+    # 8, 10, 12, ... stops, with the same terms
+    def ladder(q):
+        z1 = 8.0
+        while (terms := _certified_terms(q, z1)) is None:
+            z1 += 2.0
+            if z1 > _ANCHOR_MAX:
+                return None
+        return z1, terms
+
+    rng = np.random.default_rng(19)
+    qs = [*rng.uniform(-1.0, 4.0, 300), *range(-1, 5), 1e-12, -1e-12, 20.0, 100.0, 330.0, 400.0]
+    for q in qs:
+        assert _anchor_z1(float(q)) == ladder(float(q)), q
+    assert _anchor_z1(400.0) is None
 
 
 # ---------------------------------------------------------------------------

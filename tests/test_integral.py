@@ -28,7 +28,6 @@ from singtrace.functions import (
     step_mu,
     shift,
     EigenvalueFunction,
-    MinOf,
     PowerLog,
 )
 from singtrace import integral
@@ -46,17 +45,14 @@ from singtrace.integral import (
     s_ratio,
 )
 
+from panel_twin import PanelTwin, panel_twin
+
 E = math.e
 
 
 def quad_up(mu, x):
     val, _ = quad(lambda y: mu(y), 0.0, x, epsrel=1e-12, limit=400)
     return val
-
-
-def panel_twin(mu):
-    """min(g, g) of a profile: the same S, read through panels, as MinOf has no closed form."""
-    return g_inverse(pointwise_min(g_transform(mu), g_transform(mu)))
 
 
 def quad_down(mu, x, cutoff=1e8):
@@ -71,10 +67,10 @@ def quad_down(mu, x, cutoff=1e8):
 
 
 def mp_log_S(mu, s):
-    """log S of a (shifted) power-log at s = log x, at 30 digits: the incomplete
-    gamma on the down branch; on the up branch the integral of e^y y^(-q) over
-    [1 - p, (1 - p) u] as e^z times the integral of e^(-v) (z - v)^(-q) over [0, z - z0],
-    cut at v = 100.  The cut drops at most 1.6 e^(-100) (z/z0)^q of the integral,
+    """log S of a (shifted) power-log at s = log x, at 30 digits: elementary for
+    p = 1, the incomplete gamma on the down branch; on the up branch the
+    integral of e^y y^(-q) over [1 - p, (1 - p) u] as e^z times the integral
+    of e^(-v) (z - v)^(-q) over [0, z - z0], cut at v = 100.  The cut drops at most 1.6 e^(-100) (z/z0)^q of the integral,
     below 1e-21 for the q <= 4 and z/z0 <= 2e5 used here; for a large q the
     part near z0 can dominate, and the cut is then wrong."""
     fam = mu.family
@@ -83,6 +79,9 @@ def mp_log_S(mu, s):
         w = mpmath.log1p(mpmath.exp(mpmath.mpf(s) - a - 1))  # u - 1, kept where it is tiny
         u = 1 + w
         offset = mpmath.log(fam.scale) + a - mpmath.mpf(mu.b)
+        if p == 1:  # the integral of w^(-q) over [u, inf) (q > 1) or [1, u]
+            return float(offset + mpmath.log(u ** (1 - q) / (q - 1) if q > 1 else
+                                             mpmath.log(u) if q == 1 else (u ** (1 - q) - 1) / (1 - q)))
         if p > 1:
             eps = p - 1
             return float(offset + (q - 1) * mpmath.log(eps)
@@ -420,12 +419,12 @@ def test_kronrod_pair_integrates_polynomials():
 
 
 def test_quadrature_classify_evaluates_g_at_few_points(monkeypatch):
-    # 21 g points a panel and pass: 138,776 points in all (counted on the
-    # twin's own g, not on the two sides its minimum reads)
+    # 21 g points a panel and pass: 137,768 points in all (counted on the
+    # twin's own g)
     points = []
 
     def counted(self, t, _eval=GFunction.eval):
-        if isinstance(self.family, MinOf):
+        if isinstance(self.family, PanelTwin):
             points.append(np.size(t))
         return _eval(self, t)
 
@@ -629,9 +628,10 @@ def test_slow_tail_raises_instead_of_truncating():
 def test_tail_still_growing_at_the_last_edge_raises():
     # trace class, but e^(s - g(s)) decays only like s^(-3/2): no panel adds
     # less than e^-34 of the sum before s = 2^52, where floats are 1 apart and
-    # s - g(s) is only rounding, so S raises there and names the last edge
+    # s - g(s) is only rounding, so S raises there and names the last edge.
+    # The sides' t shifts differ, so no closed form orders them
     mu = g_inverse(pointwise_min(g_transform(power_log(p=2, q=0.5)),
-                                 g_transform(power_log(p=1, q=1.5))))
+                                 shift(g_transform(power_log(p=1, q=1.5)), 1.0, 0.0)))
     with pytest.raises(QuadratureUnconverged, match="still grows at s = ") as info:
         S(mu, 10.0)
     last = float(str(info.value).rsplit("= ", 1)[1])
@@ -686,6 +686,67 @@ def test_log_S_grid_across_pointwise_min_kinks():
             else:
                 want = math.log(_quad_pieces(f, s, s + 60.0 / (p2 - 1.0), [st]))
             assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want)), (i, s)
+
+
+def test_certified_minimum_reads_its_lower_side_closed_form():
+    # where one side of min(g1, g2) lies below the other on all of t, S is
+    # that side's closed form, on both branches, under a dilation of both
+    # sides and under vertical shifts, and matches mpmath on window grids
+    ss = np.concatenate([np.linspace(4000.0 * 2.0 ** -(j + 1), 4000.0 * 2.0 ** -j, 800)
+                         for j in range(4)][::-1])
+    grid = np.sort(np.concatenate([ss, ss + math.log(2.0)]))[::400]
+    down = (power_log(p=2, q=0.5), power_log(p=1, q=1.5))  # p = 1 side below
+    up = (power_log(p=0.7, q=0.5), power_log(p=0.9, q=0.2))  # p = 0.7 side below
+    cases = [
+        (*down, 1),
+        (power_log(1.3, 1.5, 0.5), power_log(2.0, 1.5, 0.5), 1),  # h constant
+        (power_log(1.0, 2.0, 0.5), power_log(1.0, 1.0, 0.75), 1),  # the bench's minimum, up
+        (*up, 0),
+        (dilate(down[0], 3.0), dilate(down[1], 3.0), 1),
+        (dilate(up[0], 0.25), dilate(up[1], 0.25), 0),
+    ]
+    pairs = [(g_transform(f), g_transform(g), k) for f, g, k in cases]
+    pairs.append((shift(g_transform(power_log(p=1.5, q=0.5)), 0.7, 2.0),
+                  shift(g_transform(power_log(p=1.2, q=0.5)), 0.7, -1.0), 1))
+    for f, g, k in pairs:
+        mu, lower = g_inverse(pointwise_min(f, g)), g_inverse((f, g)[k])
+        pts = grid if mu.family.trace_class else grid[::4]  # the up oracle is a 30 ms quad
+        for s, val in zip(pts, log_S_grid(mu, pts)):
+            want = mp_log_S(lower, s)
+            assert abs(val - want) <= 1e-13 * max(1.0, abs(want)), (f, g, s, val, want)
+    # the defect family of the march: S used to raise "still grows"
+    mu, side = g_inverse(pointwise_min(*map(g_transform, down))), down[1]
+    assert abs(log_S(mu, 4000.0) - log_S(side, 4000.0)) <= 1e-12 * abs(log_S(side, 4000.0))
+    assert S(mu, 10.0) == S(side, 10.0)
+    assert [v.traceable for v in classify(mu).verdicts] == [True, True, True]
+
+
+def test_minima_the_certificate_cannot_order_take_panels(monkeypatch):
+    # crossing sides, unequal t shifts and a side that is no power-log keep
+    # the panels; so does the test-only twin, which has no closed form
+    ss = np.linspace(5.0, 60.0, 12)
+    p2 = 1.5
+    ut = math.log(math.exp(30.0) + E)
+    crossing = pointwise_min(g_transform(power_log(p=2.5, q=0.5)),
+                             g_transform(power_log(scale=math.exp(-(2.5 - p2) * ut), p=p2, q=0.5)))
+    cases = [
+        crossing,
+        pointwise_min(g_transform(power_log(p=2, q=0.5)), shift(g_transform(power_log(p=1.5, q=1.5)), 1.0, 0.0)),
+        pointwise_min(g_transform(pure_power(p=2.6, scale=4.7, cap=1.7)), g_transform(power_log(p=1.5))),
+        g_transform(panel_twin(power_log(p=1.5, q=0.5))),
+        g_transform(panel_twin(power_log(p=0.7, q=0.5))),
+    ]
+    real, calls = integral._log_s_panels, []
+    monkeypatch.setattr(integral, "_log_s_panels", lambda *args: calls.append(1) or real(*args))
+    for g in cases:
+        assert g.family.log_S_up(ss) is None and g.family.log_S_down(ss) is None
+        calls.clear()
+        log_S_grid(g_inverse(g), ss)
+        assert calls, g
+    calls.clear()
+    log_S_grid(power_log(p=1.5, q=0.5), ss)
+    log_S_grid(power_log(p=0.7, q=0.5), ss)
+    assert calls == []
 
 
 def test_classify_across_a_pure_power_cap_kink():
