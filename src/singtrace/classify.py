@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotApplicable, QuadratureUnconverged, UndecidedBranch
-from .functions import EigenvalueFunction, GFunction, g_transform, knot_grid
+from .functions import EigenvalueFunction, GFunction, g_inverse, g_transform, knot_grid
 from .ideals import IdealDecision, in_kernel, in_principal_ideal
-from .indices import EstimatorConfig, MatuszewskaReport, _regularity, as_g, is_regular, matuszewska
+from .indices import EstimatorConfig, MatuszewskaReport, _regularity, is_regular, matuszewska
 from .integral import TraceClassVerdict, is_trace_class, log_S_grid
 
 CRIT_INDICES = "indices"
@@ -79,14 +79,6 @@ class TraceabilityVerdict:
     evidence: dict = field(default_factory=dict)
     horizon_limited: bool = False
     note: str = ""
-
-
-def _as_mu(fn) -> EigenvalueFunction:
-    if isinstance(fn, EigenvalueFunction):
-        return fn
-    if isinstance(fn, GFunction):
-        return fn.mu_view()
-    raise TypeError(f"expected a profile or its g view, got {type(fn)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +202,7 @@ def _tail_criterion(mu: EigenvalueFunction, tc: TraceClassVerdict, lam: float | 
 def traceable_by_indices(fn, cfg: ClassifyConfig | None = None,
                          report: MatuszewskaReport | None = None) -> TraceabilityVerdict:
     cfg = cfg or ClassifyConfig()
-    g = as_g(fn)
+    g = g_transform(fn)
     if g.finite_rank:
         return TraceabilityVerdict(False, CRIT_INDICES,
                                    note="finite rank: singular traces vanish")
@@ -235,14 +227,14 @@ def traceable_by_indices(fn, cfg: ClassifyConfig | None = None,
 
 
 def traceable_by_liminf(fn) -> TraceabilityVerdict:
-    mu = _as_mu(fn)
+    mu = g_inverse(fn)
     return _tail_criterion(mu, is_trace_class(mu), None, {})
 
 
 def traceable_by_ratio(fn, lam: float = 2.0) -> TraceabilityVerdict:
     if lam <= 1:
         raise ValueError("lam must exceed 1")
-    mu = _as_mu(fn)
+    mu = g_inverse(fn)
     return _tail_criterion(mu, is_trace_class(mu), lam, {})
 
 
@@ -282,7 +274,7 @@ class ClassificationReport:
 def classify(fn, cfg: ClassifyConfig | None = None) -> ClassificationReport:
     """Run the trace class split, the index report and all three criteria."""
     cfg = cfg or ClassifyConfig()
-    mu = _as_mu(fn)
+    mu = g_inverse(fn)
     g = g_transform(mu)
     tc = is_trace_class(mu)
     rep = matuszewska(fn, cfg.index_config)
@@ -334,8 +326,7 @@ def dichotomy(A, B, cfg: ClassifyConfig | None = None) -> DichotomyResult:
     module.
     """
     cfg = cfg or ClassifyConfig()
-    mu_a = _as_mu(A)
-    report_a = classify(mu_a, cfg)
+    report_a = classify(A, cfg)
     if report_a.traceable is not False:
         raise NotApplicable("A must be decisively not singularly traceable")
     regular, delta = is_regular(B, tol=cfg.regular_tol)
@@ -344,9 +335,8 @@ def dichotomy(A, B, cfg: ClassifyConfig | None = None) -> DichotomyResult:
     if not report_a.trace_class.decided:
         raise NotApplicable("trace class status of A undecided")
 
-    ga, gb = as_g(A), as_g(B)
-    ideal_dec = in_principal_ideal(ga, gb)
-    kernel_dec = in_kernel(ga, gb)
+    ideal_dec = in_principal_ideal(A, B)
+    kernel_dec = in_kernel(A, B)
     if report_a.trace_class.is_trace_class:
         outcome, want = OUTCOME_ZERO, kernel_dec.verdict == "member"
         note = "A is trace class, so A lies in the kernel of the ideal of B"

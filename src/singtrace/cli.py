@@ -23,7 +23,7 @@ import sys
 
 from .classify import ClassifyConfig, classify, dichotomy
 from .errors import SingTraceError
-from .functions import EigenvalueFunction
+from .functions import g_inverse
 from .ideals import in_kernel, in_principal_ideal
 from .indices import EstimatorConfig, matuszewska
 from .ingest import ParseError, family_from_dict, family_to_dict, load_input
@@ -273,8 +273,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    fn = load_input(args.input)
-    if not isinstance(fn, EigenvalueFunction) or not fn.finite_rank:
+    fn = g_inverse(load_input(args.input))
+    if fn.rank is None:
         raise ParseError("rearrange expects a spectrum input")
     report = {
         "command": "rearrange",

@@ -781,6 +781,8 @@ class GStep(_StepFamily):
             raise ValueError("need len(breakpoints) + 1 values")
         if any(v2 < v1 for v1, v2 in zip(vals, vals[1:])):
             raise ValueError("values must be non-decreasing")
+        if vals[0] == vals[-1] < math.inf:
+            raise NotInfinitesimal("constant g gives a non-vanishing profile")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -1031,7 +1033,7 @@ class MinOf(Family):
 
     def mu(self, x):
         x = np.asarray(x, dtype=float)
-        return np.maximum(self.left.mu_view().eval(x), self.right.mu_view().eval(x))
+        return np.maximum(g_inverse(self.left).eval(x), g_inverse(self.right).eval(x))
 
     @cached_property
     def _lower(self):
@@ -1119,14 +1121,12 @@ class GFunction(_View):
         p = self.family.profile
         return None if p is None else p.shifted(self.a, self.b)
 
-    def mu_view(self):
-        return EigenvalueFunction(self.family, self.a, self.b)
-
     def inverse_point(self, y):
         """First t with g(t) > y (analytic families only)."""
         t = self.family.g_inverse_point(y - self.b)
-        if t in (self.family.knots_t() or ()):  # t + a can round back onto the old step
-            return self.knots_t[self.family.knots_t().index(t)]
+        knots = self.family.knots_t() or ()
+        if t in knots:  # t + a can round back onto the old step
+            return self.knots_t[knots.index(t)]
         return None if t is None else t + self.a
 
 
@@ -1243,18 +1243,23 @@ def rearrange(data: SpectralData) -> EigenvalueFunction:
 # the transform and the group actions
 
 
-def g_transform(mu: EigenvalueFunction) -> GFunction:
-    """g(t) = -log mu(e^t); exact on every family."""
-    return GFunction(mu.family, mu.a, mu.b)
+def _as_view(fn, cls):
+    """fn itself when it is a cls view, else the cls view of its (family, a, b)."""
+    if isinstance(fn, cls):
+        return fn
+    if isinstance(fn, _View):
+        return cls(fn.family, fn.a, fn.b)
+    raise TypeError(f"expected a profile or its g view, got {type(fn)!r}")
 
 
-def g_inverse(g: GFunction) -> EigenvalueFunction:
-    """mu(x) = e^(-g(log x)); inverse of g_transform."""
-    fam = g.family
-    if isinstance(fam, GStep) and not fam.finite_rank:
-        if fam.values[-1] == fam.values[0]:
-            raise NotInfinitesimal("constant g gives a non-vanishing profile")
-    return EigenvalueFunction(g.family, g.a, g.b)
+def g_transform(mu) -> GFunction:
+    """g(t) = -log mu(e^t); exact on every family.  A g view comes back as is."""
+    return _as_view(mu, GFunction)
+
+
+def g_inverse(g) -> EigenvalueFunction:
+    """mu(x) = e^(-g(log x)); inverse of g_transform.  A profile comes back as is."""
+    return _as_view(g, EigenvalueFunction)
 
 
 def dilate(mu: EigenvalueFunction, lam: float) -> EigenvalueFunction:
@@ -1272,4 +1277,4 @@ def shift(g: GFunction, a: float, b: float) -> GFunction:
 
 def pointwise_min(f: GFunction, g: GFunction) -> GFunction:
     """(f ^ g)(t) = min(f(t), g(t)); G is closed under minima."""
-    return GFunction(MinOf(f, g))
+    return GFunction(MinOf(g_transform(f), g_transform(g)))

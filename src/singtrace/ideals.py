@@ -18,13 +18,13 @@ slope refutation, anything else stays undecided).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functions import GFunction, knot_grid, pointwise_min, shift
+from .functions import GFunction, g_transform, knot_grid, pointwise_min, shift
 from .errors import NotRegular
-from .indices import as_g, is_regular
+from .indices import is_regular
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -140,7 +140,7 @@ def _decide(ga, gb, kernel) -> IdealDecision:
     A growth deficit keeps ga out of the ideal, so out of its kernel too;
     what is left goes to the exact or the horizon decision of each.
     """
-    ga, gb = as_g(ga), as_g(gb)
+    ga, gb = g_transform(ga), g_transform(gb)
     if ga.finite_rank:
         return IdealDecision(
             MEMBER, "exact",
@@ -285,7 +285,7 @@ def face_axioms_check(family) -> FaceAxiomReport:
     minima, under domination (grid checked), and invariant under
     horizontal and vertical shifts of the candidate.
     """
-    fams = [as_g(f) for f in family]
+    fams = [g_transform(f) for f in family]
     if not fams:
         raise ValueError("need a nonempty family")
     checks = 0
@@ -334,12 +334,8 @@ def regular_domination(ga, B) -> IdealDecision:
     regular, _ = is_regular(B)
     if not regular:
         raise NotRegular("the base profile is not regular")
-    ga = as_g(ga)
-    gb = as_g(B)
+    gb = g_transform(B)
     dec = in_principal_ideal(ga, gb)
     if dec.verdict == MEMBER and dec.witness is not None:
-        dominating = shift(gb, dec.witness.a, dec.witness.b)
-        return IdealDecision(dec.verdict, dec.mode, witness=dec.witness,
-                             refutation=dec.refutation, note=dec.note,
-                             dominating=dominating)
+        return replace(dec, dominating=shift(gb, dec.witness.a, dec.witness.b))
     return dec

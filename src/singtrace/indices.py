@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonTooShort, NoWitnessOnHorizon, PreconditionFailed
-from .functions import EigenvalueFunction, GFunction, g_transform
+from .functions import GFunction, g_transform
 
 BIAS_NOTE = (
     "finite tail window: delta_lower is biased up, delta_upper biased down"
@@ -47,14 +47,6 @@ def recip_extended(x):
     if x == math.inf:
         return 0.0
     return 1.0 / x
-
-
-def as_g(fn) -> GFunction:
-    if isinstance(fn, GFunction):
-        return fn
-    if isinstance(fn, EigenvalueFunction):
-        return g_transform(fn)
-    raise TypeError(f"expected a profile or its g view, got {type(fn)!r}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,7 @@ def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> M
     mode "auto" reads the indices off the growth profile when the family
     carries one, "estimated" forces the window scan (useful as a cross check).
     """
-    g = as_g(fn)
+    g = g_transform(fn)
     if g.finite_rank:
         # increments hit +inf; index machinery is vacuous for finite rank
         return MatuszewskaReport(0.0, 0.0, "exact", finite_rank=True)
@@ -256,7 +248,7 @@ def linear_bound_witness(fn, eps: float) -> LinearBoundWitness:
     """
     if eps <= 0:
         raise PreconditionFailed("eps must be positive")
-    g = as_g(fn)
+    g = g_transform(fn)
     if g.finite_rank:
         raise NoWitnessOnHorizon("finite rank: g is eventually infinite")
     rep = matuszewska(fn)
@@ -296,7 +288,7 @@ def linear_bound_witness(fn, eps: float) -> LinearBoundWitness:
 
 def verify_linear_bound(fn, witness: LinearBoundWitness) -> bool:
     """Recheck a witness on an independent grid, twice as fine."""
-    g = as_g(fn)
+    g = g_transform(fn)
     step = witness.t_step / 2.0
     ts = np.arange(0.0, witness.horizon + step / 2, step)
     gvals = g.eval(ts)

@@ -40,6 +40,7 @@ from .functions import (
     SpectralData,
     StepMu,
     g_step,
+    g_transform,
     rearrange,
 )
 
@@ -123,7 +124,7 @@ def _read_sampled(obj, kind):
 
 def _write_sampled(fam):
     return {"grid": list(fam.grid), "values": list(fam.values),
-            "tail": None if fam.tail is None else family_to_dict(fam.tail)}
+            "tail": None if fam.tail is None else _family_dict(fam.tail)}
 
 
 def _read_spectrum(obj, kind):
@@ -158,20 +159,19 @@ def family_from_dict(obj) -> EigenvalueFunction | GFunction:
         raise ParseError(f"bad '{kind}' description: {exc}") from exc
 
 
-def family_to_dict(fn) -> dict:
-    """Serializable description; staircases land in the g_step format."""
-    shift_fields = {}
-    if isinstance(fn, (EigenvalueFunction, GFunction)):
-        if fn.a or fn.b:
-            shift_fields = {"shift_a": fn.a, "shift_b": fn.b}
-        fam = fn.family
-    else:
-        fam = fn
+def _family_dict(fam) -> dict:
     kind = _KIND_OF.get(type(fam))
     if kind is None:
         raise ParseError(f"cannot serialize family {type(fam).__name__}")
-    out = {"kind": kind, **_KINDS[kind][2](fam)}
-    out.update(shift_fields)
+    return {"kind": kind, **_KINDS[kind][2](fam)}
+
+
+def family_to_dict(fn) -> dict:
+    """Serializable description of a view; staircases land in the g_step format."""
+    g = g_transform(fn)
+    out = _family_dict(g.family)
+    if g.a or g.b:
+        out.update(shift_a=g.a, shift_b=g.b)
     return out
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, QuadratureUnconverged, SupportExceeded, UndecidedBranch, ZeroDenominator
-from .functions import EigenvalueFunction, GFunction, _closed_log_S, g_transform, logaddexp, piece_sum
+from .functions import EigenvalueFunction, GFunction, _closed_log_S, g_inverse, g_transform, logaddexp, piece_sum
 
 TRACE_CLASS = "trace_class"
 NOT_TRACE_CLASS = "not_trace_class"
@@ -90,7 +90,7 @@ class TraceClassVerdict:
 
 def is_trace_class(mu: EigenvalueFunction) -> TraceClassVerdict:
     """Integrability of mu; shifts and dilations do not affect it."""
-    tc = mu.family.trace_class
+    tc = g_inverse(mu).family.trace_class
     if tc is None:
         return TraceClassVerdict(UNDECIDED, "horizon_only")
     return TraceClassVerdict(TRACE_CLASS if tc else NOT_TRACE_CLASS, mu.family.trace_basis)
@@ -274,6 +274,7 @@ def mu_over_S(mu: EigenvalueFunction, x: float) -> float:
     """x mu(x) / S(x), the quantity whose liminf detects traceability."""
     if x <= 0:
         raise ValueError("x must be positive")
+    mu = g_inverse(mu)
     rank = mu.rank
     if rank is not None and x >= rank:
         raise ZeroDenominator(f"profile vanishes from {rank} on")
@@ -296,6 +297,7 @@ def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
         raise ValueError("need 0 <= x1 <= x2")
     if x2 == x1:
         return 0.0
+    mu = g_inverse(mu)
     edges = mu.family.edges_x()
     if edges is not None:
         scale = math.exp(mu.a)

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Bounded, ConstructionRange, FiniteRank, VerificationFailed
-from .functions import GFunction, g_step, knot_grid, shift
-from .indices import as_g, matuszewska
+from .functions import GFunction, g_step, g_transform, knot_grid, shift
+from .indices import matuszewska
 
 VANISHER = "vanisher"
 DOMINATOR = "dominator"
@@ -75,14 +75,12 @@ class StaircaseConstruction:
     def g(self) -> GFunction:
         """The staircase as a G-side step profile, integrability attached."""
         bps = self.breakpoints
-        vals = self.step_values
+        values = (self.step_values[0],) + self.step_values
         if self.variant == VANISHER:
             horizon = bps[-1] + len(bps) + 1
-            values = (vals[0],) + vals
         else:
             horizon = bps[-1]
             bps = bps[:-1]
-            values = (vals[0],) + vals
         return g_step(
             bps,
             values,
@@ -174,7 +172,7 @@ def _itp(g, level, lo, hi, g_lo, g_hi):
 
 
 def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
-    g_src = as_g(source)
+    g_src = g_transform(source)
     if g_src.finite_rank:
         raise FiniteRank("the source profile has finite rank")
     if n_steps < 2:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from singtrace.cli import main
-from singtrace.errors import NonFinite
+from singtrace.errors import NonFinite, NotInfinitesimal
 from singtrace.functions import (
     GFunction,
     exponential,
@@ -134,6 +134,17 @@ def test_load_input_shift_fields(tmp_path):
 
 # ---------------------------------------------------------------------------
 # CLI behaviour
+
+
+def test_constant_g_step_rejected_at_the_boundary(capsys, tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text('{"kind": "g_step", "breakpoints": [1, 60], "values": [2, 2, 2], "horizon": 60}')
+    with pytest.raises(NotInfinitesimal):
+        load_input(path)
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("NotInfinitesimal:")
 
 
 def write_family(tmp_path, name, obj):

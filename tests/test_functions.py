@@ -396,6 +396,14 @@ def test_gstep_validation():
         GStep((1.0, 2.0), (0.0, 1.0, 2.0), horizon=math.inf)
 
 
+def test_gstep_rejects_a_constant_g():
+    # a constant g is a profile that does not vanish; g = +inf everywhere is
+    # the zero profile
+    with pytest.raises(NotInfinitesimal):
+        GStep((1.0, 60.0), (2.0, 2.0, 2.0), horizon=60.0)
+    assert GStep((1.0,), (math.inf, math.inf)).finite_rank
+
+
 def test_step_mu_trims_zero_tail():
     fam = StepMu((0.0, 1.0, 2.0), (3.0, 0.0))
     assert fam.values == (3.0,)
