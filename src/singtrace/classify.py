@@ -202,11 +202,10 @@ def _tail_criterion(mu: EigenvalueFunction, tc: TraceClassVerdict, lam: float | 
 def traceable_by_indices(fn, cfg: ClassifyConfig | None = None,
                          report: MatuszewskaReport | None = None) -> TraceabilityVerdict:
     cfg = cfg or ClassifyConfig()
-    g = g_transform(fn)
-    if g.finite_rank:
+    rep = report if report is not None else matuszewska(fn, cfg.index_config)
+    if rep.finite_rank:
         return TraceabilityVerdict(False, CRIT_INDICES,
                                    note="finite rank: singular traces vanish")
-    rep = report if report is not None else matuszewska(fn, cfg.index_config)
     dl, du = rep.delta_lower, rep.delta_upper
     ev = {"delta_lower": dl, "delta_upper": du, "mode": rep.mode}
     if rep.mode == "exact":

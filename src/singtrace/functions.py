@@ -927,24 +927,20 @@ class SampledMu(_StepFamily):
         base = self._tables.log_up(np.minimum(s, end))
         if self.tail is None:
             return base
-        tail_at_end = self.tail.log_S_up(np.asarray(end))
-        tail_at_s = self.tail.log_S_up(np.maximum(s, end))
-        if tail_at_end is None or tail_at_s is None:
+        tail = self.tail.log_S_up(np.append(np.maximum(s, end), end))
+        if tail is None:
             return None
-        extra = logsubexp(tail_at_s, tail_at_end)
-        return np.where(s > end, logaddexp(base, extra), base)
+        # the tail's mass over [end, s]: -inf at or below end
+        return logaddexp(base, logsubexp(tail[:-1], tail[-1]).reshape(s.shape))
 
     def log_S_down(self, s):
         s = np.asarray(s, dtype=float)
         end = self._tables.s_end
-        base = self._tables.log_down(np.minimum(s, end))
+        base = self._tables.log_down(np.minimum(s, end))  # -inf from end on
         if self.tail is None:
             return base
-        tail_down = self.tail.log_S_down(np.maximum(s, end))
-        if tail_down is None:
-            return None
-        tail_at_end = self.tail.log_S_down(np.full_like(s, end))
-        return np.where(s >= end, tail_down, logaddexp(base, tail_at_end))
+        tail = self.tail.log_S_down(np.maximum(s, end))
+        return None if tail is None else logaddexp(base, tail)
 
 
 def _closed_log_S(view, s, up):
@@ -1267,12 +1263,12 @@ def dilate(mu: EigenvalueFunction, lam: float) -> EigenvalueFunction:
     if lam <= 0:
         raise NonpositiveLambda(f"dilation parameter must be positive, got {lam}")
     ll = math.log(lam)
-    return mu.shifted(-ll, -ll)
+    return _as_view(mu, _View).shifted(-ll, -ll)
 
 
 def shift(g: GFunction, a: float, b: float) -> GFunction:
     """t -> b + g(t - a); stays in G for any real a, b."""
-    return g.shifted(a, b)
+    return _as_view(g, _View).shifted(a, b)
 
 
 def pointwise_min(f: GFunction, g: GFunction) -> GFunction:

@@ -105,7 +105,7 @@ def _threshold_ladder(gaps: np.ndarray, ts: np.ndarray, cs) -> tuple:
     out = []
     for c in cs:
         above = gaps > c
-        if above[-1] and np.any(above):
+        if above[-1]:
             # last index where the gap was <= c
             below = np.nonzero(~above)[0]
             idx = (below[-1] + 1) if len(below) else 0

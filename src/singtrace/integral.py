@@ -216,14 +216,10 @@ def _log_integral(g: GFunction, ss, step: int):
 # the S engine
 
 
-def branch_is_up(mu: EigenvalueFunction) -> bool:
-    return not is_trace_class(mu).is_trace_class
-
-
 def branch_of(mu: EigenvalueFunction) -> str:
     """'up' (cumulative integral) when mu is not integrable, 'down' (tail
     integral) when it is; raises UndecidedBranch otherwise."""
-    return "up" if branch_is_up(mu) else "down"
+    return "down" if is_trace_class(mu).is_trace_class else "up"
 
 
 def log_S(mu: EigenvalueFunction, s: float) -> float:
@@ -238,7 +234,7 @@ def log_S_grid(mu: EigenvalueFunction, ss: np.ndarray) -> np.ndarray:
         raise NonFinite("log_S_grid needs finite s values")
     if np.count_nonzero(ss[1:] < ss[:-1]):
         raise ValueError("log_S_grid needs an ascending grid of s values")
-    up = branch_is_up(mu)
+    up = branch_of(mu) == "up"
     closed = _closed_log_S(mu, ss, up)
     if closed is not None:
         return np.asarray(closed, dtype=float)
@@ -263,10 +259,9 @@ def s_ratio(mu: EigenvalueFunction, lam: float, x: float) -> float:
     if x <= 0:
         raise ValueError("x must be positive")
     s = math.log(x)
-    den = log_S(mu, s)
+    den, num = log_S_grid(mu, np.array([s, s + math.log(lam)])).tolist()
     if den == -math.inf:
         raise SupportExceeded(f"S vanishes at x = {x}")
-    num = log_S(mu, s + math.log(lam))
     return math.exp(num - den)
 
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import Bounded, ConstructionRange, FiniteRank, VerificationFailed
 from .functions import GFunction, g_step, g_transform, knot_grid, shift
+from .ideals import _KERNEL_THRESHOLDS, _threshold_ladder
 from .indices import matuszewska
 
 VANISHER = "vanisher"
@@ -232,10 +233,9 @@ def construct_dominator(source, n_steps: int = 40) -> StaircaseConstruction:
 # verification
 
 # a staircase's indices must collapse to at most 0.1 and at least 10, and
-# its kernel or exclusion condition must hold at each c of the ladder
+# its kernel or exclusion condition must hold at each c of the kernel ladder
 _DELTA_LOWER_MAX = 0.1
 _DELTA_UPPER_MIN = 10.0
-_C_VALUES = (1.0, 10.0, 100.0)
 
 
 @dataclass
@@ -251,14 +251,6 @@ class StaircaseVerification:
 def _slack(bound: np.ndarray) -> np.ndarray:
     """A few ulps of the bound, at least 1e-12: steps and bound round apart."""
     return np.fmax(1e-12, 4.0 * np.spacing(np.abs(bound)))
-
-
-def _first_permanent_index(ok: np.ndarray):
-    """First index from which the mask stays true to the end, or None."""
-    if not ok[-1]:
-        return None
-    bad = np.nonzero(~ok)[0]
-    return (bad[-1] + 1) if len(bad) else 0
 
 
 def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
@@ -304,19 +296,20 @@ def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
         if not envelope_ok:
             raise VerificationFailed("envelope: staircase exceeds sqrt of the source")
         gap_fn = src_vals - stair_vals  # must exceed every c eventually
+        cs = _KERNEL_THRESHOLDS
     else:
         bound = norm_vals**2
         envelope_ok = bool(np.all(stair_vals >= bound - _slack(bound)))
         if not envelope_ok:
             raise VerificationFailed("envelope: staircase drops below the squared source")
         gap_fn = stair_vals - src_vals  # exclusion: source < c + staircase
+        cs = tuple(-c for c in _KERNEL_THRESHOLDS)
 
     t0s = []
-    for c in _C_VALUES:
-        idx = _first_permanent_index(gap_fn > c if s.variant == VANISHER else gap_fn > -c)
-        if idx is None:
-            raise VerificationFailed(f"condition: threshold c = {c} never permanently met")
-        t0s.append((float(c), float(ss[idx])))
+    for c, t0, crossed in _threshold_ladder(gap_fn, ss, cs):
+        if not crossed:
+            raise VerificationFailed(f"condition: threshold c = {abs(c)} never permanently met")
+        t0s.append((abs(c), t0))
     if [t for _, t in t0s] != sorted(t for _, t in t0s):
         raise VerificationFailed("condition: t0 must be non-decreasing in c")
 

@@ -15,6 +15,7 @@ from singtrace import (
     construct_dominator,
     construct_vanisher,
     dichotomy,
+    dilate,
     face_axioms_check,
     g_inverse,
     g_transform,
@@ -31,6 +32,7 @@ from singtrace import (
     power_log,
     regular_domination,
     s_ratio,
+    shift,
     step_mu,
     traceable_by_indices,
     traceable_by_liminf,
@@ -38,7 +40,7 @@ from singtrace import (
     verify_linear_bound,
 )
 from singtrace.ingest import family_to_dict
-from singtrace.integral import branch_is_up, log_S_grid
+from singtrace.integral import log_S_grid
 
 A = power_log(p=2.0)  # trace class, regular with index 1/2: not singularly traceable
 B = power_log(p=1.0)  # regular with index 1
@@ -73,7 +75,6 @@ CALLS_ON_B = {
 # every public function of the integral module, on a closed-form and a step profile
 INTEGRAL_CALLS = {
     "is_trace_class": is_trace_class,
-    "branch_is_up": branch_is_up,
     "branch_of": branch_of,
     "log_S": lambda f: log_S(f, 0.5),
     "log_S_grid": lambda f: log_S_grid(f, np.array([-1.0, 0.0, 0.5])),
@@ -106,3 +107,22 @@ def test_either_view_gives_the_same_result(name, call, mu):
 def test_a_non_view_raises_the_one_type_error(name, call, mu, bad):
     with pytest.raises(TypeError, match="expected a profile or its g view"):
         call(bad)
+
+
+# the group actions keep the view they are given
+ACTIONS = {"dilate": lambda f: dilate(f, 2.0), "shift": lambda f: shift(f, 1.0, 0.5)}
+
+
+@pytest.mark.parametrize("action", ACTIONS.values(), ids=ACTIONS.keys())
+def test_group_actions_keep_the_view_and_its_shift(action):
+    g = g_transform(A)
+    mu_out, g_out = action(A), action(g)
+    assert type(mu_out) is type(A) and type(g_out) is type(g)
+    assert (mu_out.family, mu_out.a, mu_out.b) == (g_out.family, g_out.a, g_out.b)
+
+
+@pytest.mark.parametrize("action", ACTIONS.values(), ids=ACTIONS.keys())
+@pytest.mark.parametrize("bad", NON_VIEWS, ids=["int", "family"])
+def test_group_actions_reject_a_non_view_with_the_one_type_error(action, bad):
+    with pytest.raises(TypeError, match="expected a profile or its g view"):
+        action(bad)

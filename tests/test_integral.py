@@ -28,7 +28,10 @@ from singtrace.functions import (
     step_mu,
     shift,
     EigenvalueFunction,
+    Exponential,
     PowerLog,
+    PurePower,
+    StepMu,
 )
 from singtrace import integral
 from singtrace.integral import (
@@ -850,6 +853,87 @@ def test_power_log_closed_forms_reach_views_and_sampled_tails():
         head = max(1.0 - x, 0.0) + 0.5 * (2.0 - max(x, 1.0)) if x < 2.0 else 0.0
         want = float(mpmath.log(head + mpmath.exp(tail_at)))
         assert abs(val - want) <= 1e-13 * max(1.0, abs(want)), (s, val, want)
+
+
+# the sampled head under every splice test: mu = v on [a, b) for each (a, b, v),
+# and the tail from x = 3 on
+SPLICE_HEAD = ((0.0, 0.5, 1.0), (0.5, 1.0, 0.8), (1.0, 2.0, 0.5), (2.0, 3.0, 0.3))
+
+
+def _mp_power_log_antiderivative(scale, p, q):
+    """F with F' = mu of a power-log, at the working precision: the incomplete
+    gamma for p > 1 (F(inf) = 0), the integral in w = log(x + e) from 1 for p < 1."""
+    c, p, q = mpmath.mpf(scale), mpmath.mpf(p), mpmath.mpf(q)
+
+    def F(x):
+        u = mpmath.log(x + mpmath.e)
+        if p > 1:
+            return -c * (p - 1) ** (q - 1) * mpmath.gammainc(1 - q, (p - 1) * u)
+        cuts = mpmath.linspace(1, u, math.ceil(u - 1) + 1)
+        return c * mpmath.quad(lambda w: mpmath.exp((1 - p) * w) * w ** (-q), cuts)
+    return F
+
+
+# (tail, branch, F): F is an antiderivative of the tail's mu past x = 3, with
+# F(inf) = 0 on the down branch, or None for steps, whose S is an fsum of pieces
+SPLICE_TAILS = {
+    "power_log p>1": (PowerLog(scale=0.4, p=1.7, q=0.8), "down",
+                      _mp_power_log_antiderivative(0.4, 1.7, 0.8)),
+    "power_log p<1": (PowerLog(scale=0.5, p=0.5, q=0.5), "up",
+                      _mp_power_log_antiderivative(0.5, 0.5, 0.5)),
+    "pure_power p>1": (PurePower(p=2.0, scale=0.5), "down", lambda x: -0.5 / x),
+    "pure_power p<1": (PurePower(p=0.5, scale=0.2), "up", lambda x: 0.4 * mpmath.sqrt(x)),
+    "exponential": (Exponential(alpha=1.0), "down", lambda x: -mpmath.exp(-x)),
+    "panel twin": (PanelTwin(PowerLog(scale=0.4, p=1.7, q=0.8)), "down",
+                   _mp_power_log_antiderivative(0.4, 1.7, 0.8)),
+    "step_mu": (StepMu((0.0, 4.0, 8.0), (0.15, 0.05)), "down", None),
+    "no tail, finite rank": (None, "down", None),
+}
+
+
+@pytest.mark.parametrize("tail, branch, F", SPLICE_TAILS.values(), ids=SPLICE_TAILS.keys())
+def test_log_S_grid_splices_a_sampled_head_and_its_tail(tail, branch, F):
+    # past the last sample S adds the tail's own closed form: on the up branch
+    # the tail's mass over [3, x], on the down branch its S at max(x, 3); a
+    # tail without one on the branch sends S to the panels
+    grid = [a for a, _, _ in SPLICE_HEAD] + [3.0]
+    values = [v for _, _, v in SPLICE_HEAD] + [0.2 if tail is not None else 0.0]
+    mu = sampled(grid, values, tail=tail)
+    end = float(np.log(3.0))
+    ss = np.array([-1.0, 0.2, 0.8, end - 0.05, end, end + 0.05, 1.5, 5.0, 40.0])
+    got = log_S_grid(mu, ss)
+    assert integral.branch_of(mu) == branch
+    fam = mu.family
+    closed = fam.log_S_up if branch == "up" else fam.log_S_down
+    if isinstance(tail, PanelTwin):
+        assert closed(ss) is None
+    else:
+        for k in range(len(ss)):
+            zero_d = closed(ss[k])
+            assert np.shape(zero_d) == () and zero_d == closed(ss)[k] == got[k]
+    if F is None:  # step pieces: the exact sum over them, from x on
+        pieces = SPLICE_HEAD + (((3.0, 4.0, 0.15), (4.0, 8.0, 0.05)) if tail else ())
+        for s, val in zip(ss, got):
+            x = math.exp(s)
+            want = math.fsum(v * (b - max(a, x)) for a, b, v in pieces if b > x)
+            assert val == -math.inf if want == 0.0 else abs(val - math.log(want)) <= 1e-13
+        if tail is None:  # the tail-less up branch, read off the family
+            for s, val in zip(ss, fam.log_S_up(ss)):
+                x = math.exp(s)
+                want = math.fsum(v * (min(b, x) - a) for a, b, v in SPLICE_HEAD if a < x)
+                assert abs(val - math.log(want)) <= 1e-13
+        return
+    with mpmath.workdps(30):
+        for s, val in zip(ss, got):
+            x, X = mpmath.exp(mpmath.mpf(s)), mpmath.mpf(3)
+            if branch == "up":
+                lo, hi, splice = 0, min(x, X), F(max(x, X)) - F(X)
+            else:
+                lo, hi, splice = min(x, X), X, -F(max(x, X))
+            head = mpmath.fsum(v * (min(b, hi) - max(a, lo)) for a, b, v in SPLICE_HEAD
+                               if min(b, hi) > max(a, lo))
+            want = float(mpmath.log(head + splice))
+            assert abs(val - want) <= 1e-13 * max(1.0, abs(want)), (s, val, want)
 
 
 def test_power_log_closed_forms_agree_with_the_panel_twin_on_window_grids():
