@@ -21,16 +21,18 @@ everything else is honestly undecided.
 
 Both limit statements read the same log S: x mu(x)/S(x) is
 exp(s - g(s) - log S(s)) and S(lam x)/S(x) is exp(log S(s + log lam) -
-log S(s)).  So each window is sampled once (the grid ss, g(ss) and
-log S(ss)) and both criteria score that sample; the ratio adds log S at
-ss + log lam.  The windows are contiguous, so log S on all of them comes
-from one ascending log_S_grid call over their joined grids, and the
-prefix or tail integral is computed once: one call per criterion.
+log S(s)).  The windows are contiguous, so they are sampled as one
+ascending grid ss: g(ss) from one g.eval call, log S(ss) from one
+log_S_grid call, which computes the prefix or tail integral once, and
+the index at which each window starts.  Both criteria score that
+sample, taking the window minima with one np.minimum.reduceat at those
+starts; the ratio adds log S at ss + log lam from one more call.
 classify shares the sample between them whenever their horizons agree,
 which they do unless a trusted horizon ends within log lam of
-horizon_log.  A sample whose quadrature does not converge, such as a
-tail still growing where the march ends, is kept as that failure, and
-both criteria report it as undecided.
+horizon_log.  log_S_grid decides the branch, so a profile whose trace
+class status is undecided fails its sample, as does a quadrature that
+does not converge, such as a tail still growing where the march ends;
+the failure is kept, and both criteria report it as undecided.
 
 Verdicts are three-valued (True / False / None) because horizon limited
 data cannot settle a liminf.
@@ -106,66 +108,48 @@ def _limit_point_verdict(minima, theta):
     return None, "window minima neither recur nor separate cleanly"
 
 
-def _log_S_windows(mu: EigenvalueFunction, grids):
-    """log S on each window grid (nearest the horizon first) from one
-    ascending log_S_grid call: the windows are contiguous, so no prefix
-    or tail integral is computed twice."""
-    ascending = grids[::-1]
-    values = log_S_grid(mu, np.concatenate(ascending))
-    return np.split(values, np.cumsum([len(ss) for ss in ascending[:-1]]))[::-1]
-
-
 def _tail_sample(mu: EigenvalueFunction, g: GFunction, T: float):
-    """Per dyadic window below T, nearest the horizon first: the grid ss,
-    g(ss) and log S(ss), which both tail criteria read.  The near-target
-    dips of a step profile start right at its jumps."""
+    """The dyadic windows below T as one ascending grid ss, log S(ss), g(ss)
+    and the index at which each window starts: the sample both tail criteria
+    read.  The near-target dips of a step profile start right at its jumps."""
     grids = [knot_grid(lo, hi, _WINDOW_POINTS, g.knots_in(lo, hi), (0.0, 1e-9, 1.0))
-             for lo, hi in _windows(T)]
+             for lo, hi in _windows(T)[::-1]]
+    ss = np.concatenate(grids)
     with np.errstate(over="ignore", invalid="ignore"):
-        return [(ss, g.eval(ss), ls) for ss, ls in zip(grids, _log_S_windows(mu, grids))]
+        return ss, log_S_grid(mu, ss), g.eval(ss), np.cumsum([0] + [len(w) for w in grids])[:-1]
 
 
-def _window_min(values) -> float:
-    """The least value in a window, a NaN counting as inf.
+def _window_minima(mu: EigenvalueFunction, sample, lam: float | None) -> list:
+    """Per window, nearest the horizon first, the least x mu(x) / S(x) (lam
+    None) or |S(lam x) / S(x) - 1|, a NaN counting as inf.
 
     A NaN should leave the verdict undecided instead; that change would
     flip verdicts of exponential families and is listed in ROADMAP.md.
     """
-    return float(np.min(np.where(np.isnan(values), np.inf, values)))
-
-
-def _liminf_minima(sample):
-    """Window minima of x mu(x) / S(x)."""
+    ss, ls, gs, starts = sample
     with np.errstate(over="ignore", invalid="ignore"):
-        # group the large terms first: g and log S cancel to O(s) for
-        # rapidly decaying profiles and would swallow s otherwise
-        return [_window_min(np.exp(ss - (gs + ls))) for ss, gs, ls in sample]
+        if lam is None:
+            # group the large terms first: g and log S cancel to O(s) for
+            # rapidly decaying profiles and would swallow s otherwise
+            values = np.exp(ss - (gs + ls))
+        else:
+            values = np.abs(np.exp(log_S_grid(mu, ss + math.log(lam)) - ls) - 1.0)
+    return np.minimum.reduceat(np.where(np.isnan(values), np.inf, values), starts)[::-1].tolist()
 
 
-def _ratio_minima(mu: EigenvalueFunction, sample, lam: float):
-    """Window minima of |S(lam x) / S(x) - 1|."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = _log_S_windows(mu, [ss + math.log(lam) for ss, _, _ in sample])
-        return [_window_min(np.abs(np.exp(lsl - ls) - 1.0))
-                for lsl, (_, _, ls) in zip(shifted, sample)]
-
-
-def _tail_criterion(mu: EigenvalueFunction, tc: TraceClassVerdict, lam: float | None,
+def _tail_criterion(mu: EigenvalueFunction, lam: float | None,
                     samples: dict) -> TraceabilityVerdict:
     """The liminf criterion (lam None) or the ratio criterion at lam.
 
     Ratio windows end log lam below a trusted horizon, as S(lam x) must
-    stay inside it.  samples maps a horizon T to its window sample, so
+    stay inside it.  samples maps a horizon T to its window sample, or to
+    the UndecidedBranch or QuadratureUnconverged that sampling raised, so
     criteria on the same T share one.
     """
     crit = CRIT_LIMINF if lam is None else CRIT_RATIO
     g = g_transform(mu)
     if g.finite_rank:
         return TraceabilityVerdict(False, crit, note="finite rank: singular traces vanish")
-    try:
-        tc.is_trace_class
-    except UndecidedBranch as exc:
-        return TraceabilityVerdict(None, crit, horizon_limited=True, note=str(exc))
     T = _HORIZON_LOG
     if g.horizon_t is not None:
         T = min(T, g.horizon_t - (0.0 if lam is None else math.log(lam)))
@@ -176,20 +160,16 @@ def _tail_criterion(mu: EigenvalueFunction, tc: TraceClassVerdict, lam: float | 
         if T not in samples:
             try:
                 samples[T] = _tail_sample(mu, g, T)
-            except QuadratureUnconverged as exc:
+            except (UndecidedBranch, QuadratureUnconverged) as exc:
                 samples[T] = exc  # the other criterion fails on it too
-        if isinstance(samples[T], QuadratureUnconverged):
+        if isinstance(samples[T], Exception):
             raise samples[T]
-        if lam is None:
-            minima = _liminf_minima(samples[T])
-            evidence = {"window_minima": tuple(minima), "horizon_log": T, "theta": _THETA}
-        else:
-            minima = _ratio_minima(mu, samples[T], lam)
-            evidence = {"window_minima": tuple(minima), "lambda": lam,
-                        "horizon_log": T, "theta": _THETA}
-    except QuadratureUnconverged as exc:
-        # no trustworthy log S on the windows: say so instead of guessing
+        minima = _window_minima(mu, samples[T], lam)
+    except (UndecidedBranch, QuadratureUnconverged) as exc:
+        # no branch or no trustworthy log S on the windows: say so instead of guessing
         return TraceabilityVerdict(None, crit, horizon_limited=True, note=str(exc))
+    evidence = {"window_minima": tuple(minima), **({} if lam is None else {"lambda": lam}),
+                "horizon_log": T, "theta": _THETA}
     verdict, why = _limit_point_verdict(minima, _THETA)
     return TraceabilityVerdict(verdict, crit, evidence=evidence,
                                horizon_limited=g.horizon_t is not None, note=why)
@@ -226,15 +206,13 @@ def traceable_by_indices(fn, cfg: ClassifyConfig | None = None,
 
 
 def traceable_by_liminf(fn) -> TraceabilityVerdict:
-    mu = g_inverse(fn)
-    return _tail_criterion(mu, is_trace_class(mu), None, {})
+    return _tail_criterion(g_inverse(fn), None, {})
 
 
 def traceable_by_ratio(fn, lam: float = 2.0) -> TraceabilityVerdict:
     if lam <= 1:
         raise ValueError("lam must exceed 1")
-    mu = g_inverse(fn)
-    return _tail_criterion(mu, is_trace_class(mu), lam, {})
+    return _tail_criterion(g_inverse(fn), lam, {})
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +228,7 @@ class ClassificationReport:
     by_indices: TraceabilityVerdict
     by_liminf: TraceabilityVerdict
     by_ratio: TraceabilityVerdict
-    agreement: bool
     finite_rank: bool
-    horizon_limited: bool
     config: ClassifyConfig
 
     @property
@@ -260,40 +236,41 @@ class ClassificationReport:
         return (self.by_indices, self.by_liminf, self.by_ratio)
 
     @property
+    def _decided(self):
+        return {v.traceable for v in self.verdicts if v.traceable is not None}
+
+    @property
+    def agreement(self) -> bool:
+        """No two decided criteria disagree."""
+        return len(self._decided) <= 1
+
+    @property
+    def horizon_limited(self) -> bool:
+        return any(v.horizon_limited for v in self.verdicts)
+
+    @property
     def traceable(self) -> bool | None:
-        """Consensus of the decided criteria; None when nothing decided."""
-        decided = {v.traceable for v in self.verdicts if v.traceable is not None}
-        if not decided:
-            return None
-        if len(decided) > 1:
-            return None
-        return decided.pop()
+        """Consensus of the decided criteria; None when none decide or they disagree."""
+        decided = self._decided
+        return decided.pop() if len(decided) == 1 else None
 
 
 def classify(fn, cfg: ClassifyConfig | None = None) -> ClassificationReport:
     """Run the trace class split, the index report and all three criteria."""
     cfg = cfg or ClassifyConfig()
     mu = g_inverse(fn)
-    g = g_transform(mu)
-    tc = is_trace_class(mu)
     rep = matuszewska(fn, cfg.index_config)
     regular, delta = _regularity(rep, cfg.regular_tol)
-    v_idx = traceable_by_indices(fn, cfg, report=rep)
     samples = {}  # one window sample per distinct horizon
-    v_lim = _tail_criterion(mu, tc, None, samples)
-    v_rat = _tail_criterion(mu, tc, cfg.ratio_lambda, samples)
-    decided = {v.traceable for v in (v_idx, v_lim, v_rat) if v.traceable is not None}
     return ClassificationReport(
-        trace_class=tc,
+        trace_class=is_trace_class(mu),
         indices_report=rep,
         regular=regular,
         delta=delta,
-        by_indices=v_idx,
-        by_liminf=v_lim,
-        by_ratio=v_rat,
-        agreement=len(decided) <= 1,
-        finite_rank=g.finite_rank,
-        horizon_limited=any(v.horizon_limited for v in (v_idx, v_lim, v_rat)),
+        by_indices=traceable_by_indices(fn, cfg, report=rep),
+        by_liminf=_tail_criterion(mu, None, samples),
+        by_ratio=_tail_criterion(mu, cfg.ratio_lambda, samples),
+        finite_rank=mu.finite_rank,
         config=cfg,
     )
 

@@ -44,11 +44,17 @@ E = math.e
 
 
 def logsubexp(a, b):
-    """log(e^a - e^b) elementwise for a >= b; equal entries give -inf."""
+    """log(e^a - e^b) elementwise for a >= b; equal entries give -inf.
+
+    log(1 - e^d), d = b - a, is log(-expm1(d)) above d = -log 2 and
+    log1p(-e^d) below it, which keeps its digits on both sides (Maechler
+    2012, "Accurately computing log(1 - exp(-|a|))").
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = a + np.log1p(-np.exp(np.minimum(b - a, 0.0)))
+        d = np.minimum(b - a, 0.0)
+        out = a + np.where(d > -math.log(2.0), np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
         out = np.where(b >= a, -np.inf, out)
     return out
 
@@ -322,10 +328,6 @@ class Family:
         them; edges_x keeps the exact x values."""
         edges = self.edges_x()
         return None if edges is None else tuple(np.log([e for e in edges if e > 0]).tolist())
-
-    @property
-    def is_step_like(self):
-        return self.knots_t() is not None
 
     def log_S_up(self, s):
         """Closed form of log S_up at s = log x, or None."""

@@ -92,7 +92,7 @@ class EstimatorConfig:
         horizon limited samples shrink the horizon instead.
         """
         horizon_t = g.horizon_t
-        if g.family.is_step_like and horizon_t is not None and horizon_t > 40.0:
+        if g.knots_t is not None and horizon_t is not None and horizon_t > 40.0:
             return cls(h_grid=(1.0, 2.0), horizon=horizon_t, t_step=0.01)
         if horizon_t is not None and horizon_t < 40.0:
             hs = tuple(
@@ -166,7 +166,7 @@ def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> M
     if not usable:
         raise HorizonTooShort(f"no increment fits the tail window up to T = {horizon:.3g}")
     per_h = []
-    exact_scan = g.family.is_step_like
+    exact_scan = g.knots_t is not None
     for h in usable:
         w_hi = horizon - h
         if not exact_scan and (w_hi - w_lo) / cfg.t_step < 10:
@@ -231,12 +231,9 @@ class LinearBoundWitness:
 
 def _bound_grid(g: GFunction):
     cfg = EstimatorConfig.default_for(g)
-    horizon = cfg.horizon
-    if g.horizon_t is not None:
-        horizon = min(horizon, g.horizon_t)
-    step = max(cfg.t_step, horizon / 1_000_000)  # cap the grid size
-    ts = np.arange(0.0, horizon + step / 2, step)
-    return ts, horizon, step
+    step = max(cfg.t_step, cfg.horizon / 1_000_000)  # cap the grid size
+    ts = np.arange(0.0, cfg.horizon + step / 2, step)
+    return ts, cfg.horizon, step
 
 
 def linear_bound_witness(fn, eps: float) -> LinearBoundWitness:

@@ -277,8 +277,9 @@ def mu_over_S(mu: EigenvalueFunction, x: float) -> float:
     den = log_S(mu, s)
     if den == -math.inf:
         raise ZeroDenominator(f"S vanishes at x = {x}")
-    gval = g_transform(mu)(s)
-    return math.exp(s - gval - den)
+    # s and g cancel for slowly decaying profiles, g and log S for rapidly
+    # decaying ones: fsum rounds the sum of all three once
+    return math.exp(math.fsum((s, -g_transform(mu)(s), -den)))
 
 
 def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:

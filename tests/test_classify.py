@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import mpmath
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from singtrace.classify import (
+    CRIT_LIMINF,
+    TraceabilityVerdict,
     classify,
     dichotomy,
     traceable_by_indices,
@@ -18,6 +21,7 @@ from singtrace.functions import (
     g_inverse,
     g_step,
     g_transform,
+    knot_grid,
     pointwise_min,
     power_log,
     pure_power,
@@ -25,7 +29,7 @@ from singtrace.functions import (
     shift,
     step_mu,
 )
-from singtrace.integral import log_S
+from singtrace.integral import log_S, log_S_grid
 from singtrace.staircase import construct_dominator, construct_vanisher
 
 from panel_twin import panel_twin
@@ -212,6 +216,52 @@ def test_classify_computes_each_window_once(monkeypatch):
         assert rep.by_liminf == alone_lim and rep.by_ratio == alone_rat
         assert rep.by_liminf.evidence["window_minima"] == alone_lim.evidence["window_minima"]
         assert rep.by_ratio.evidence["window_minima"] == alone_rat.evidence["window_minima"]
+
+
+@pytest.mark.parametrize("name", ["power_p1", "exponential", "dominator", "sampled_tail"])
+def test_window_minima_match_each_window_sampled_alone(name):
+    # classify samples its windows as one joined grid; each window sampled
+    # on its own must give the same minima, nearest the horizon first
+    classify_module = importlib.import_module("singtrace.classify")
+    fn = {
+        "power_p1": power_log(p=1),
+        "exponential": exponential(1.0),
+        # trusted to t = 820: its windows hold knots of the staircase
+        "dominator": construct_dominator(g_transform(pure_power(p=1)), 40).g(),
+        "sampled_tail": sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2], tail=PowerLog(p=2.0)),
+    }[name]
+    rep = classify(fn)
+    mu, g, lam = g_inverse(fn), g_transform(fn), rep.config.ratio_lambda
+    for v in (rep.by_liminf, rep.by_ratio):
+        T = v.evidence["horizon_log"]
+        want = []
+        for j in range(4):
+            lo, hi = T * 2.0 ** (-j - 1), T * 2.0 ** -j
+            ss = knot_grid(lo, hi, classify_module._WINDOW_POINTS, g.knots_in(lo, hi),
+                           (0.0, 1e-9, 1.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ls = log_S_grid(mu, ss)
+                if v is rep.by_liminf:
+                    vals = np.exp(ss - (g.eval(ss) + ls))
+                else:
+                    vals = np.abs(np.exp(log_S_grid(mu, ss + np.log(lam)) - ls) - 1.0)
+            want.append(float(np.min(np.where(np.isnan(vals), np.inf, vals))))
+        assert np.array(v.evidence["window_minima"]).view(np.int64).tolist() == \
+            np.array(want).view(np.int64).tolist(), v.criterion
+    if name == "dominator":
+        assert any(g.knots_in(0.5 * rep.by_liminf.evidence["horizon_log"],
+                              rep.by_liminf.evidence["horizon_log"]))
+
+
+def test_disagreeing_criteria_leave_no_consensus():
+    rep = classify(power_log(p=1))
+    assert rep.traceable is True and rep.agreement and not rep.horizon_limited
+    split = dataclasses.replace(rep, by_liminf=TraceabilityVerdict(False, CRIT_LIMINF,
+                                                                   horizon_limited=True))
+    assert split.traceable is None and split.agreement is False and split.horizon_limited
+    # undecided criteria do not count against a consensus
+    quiet = dataclasses.replace(rep, by_liminf=TraceabilityVerdict(None, CRIT_LIMINF))
+    assert quiet.traceable is True and quiet.agreement
 
 
 def test_classify_exponential():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from singtrace.functions import (
     g_step,
     g_transform,
     log_e_plus,
+    logsubexp,
     pointwise_min,
     power_log,
     pure_power,
@@ -442,7 +444,7 @@ def test_family_interface(name, fn):
     fam = fn.family
     assert isinstance(fam, Family)
     knots, edges = fam.knots_t(), fam.edges_x()
-    assert fam.is_step_like == (knots is not None) == (edges is not None)
+    assert (g_transform(fn).knots_t is not None) == (knots is not None) == (edges is not None)
     if knots is not None:
         # e^t overflows past t ~ 709, so x-space edges stop at t = 700
         from_knots = [math.exp(k) for k in knots if k < 700.0]
@@ -535,6 +537,21 @@ def test_shifted_g_step_inverse_point_is_the_first_float_past_the_jump():
             assert g(t) > y and g(np.nextafter(t, -math.inf)) <= y, (g, y, t)
             answers += 1
     assert answers > 1000
+
+
+def test_logsubexp_keeps_its_digits_near_equal_arguments():
+    # log(1 - e^d) through expm1 above d = -log 2 and log1p below: log1p
+    # alone lost 5e-10 at d = -1e-9
+    a = math.log(3.0)
+    d = np.concatenate([-np.logspace(-9.0, math.log10(700.0), 60), [-1e-6, -0.3, -1.0, -30.0]])
+    b = a + d
+    got = logsubexp(a, b)
+    with mpmath.workdps(40):
+        want = [float(mpmath.log(mpmath.exp(a) - mpmath.exp(mpmath.mpf(v)))) for v in b.tolist()]
+    for g, w in zip(got.tolist(), want):
+        # the sum a + log(1 - e^d) cancels near d = log(2/3): its terms set the scale
+        assert abs(g - w) <= 2 * np.spacing(abs(a) + abs(w)), (g, w)
+    assert logsubexp(a, a) == -np.inf and logsubexp(a, -np.inf) == a
 
 
 def test_log_e_plus_is_logaddexp_bit_for_bit():

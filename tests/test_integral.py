@@ -314,6 +314,19 @@ def test_mu_over_S_closed_checks():
     assert mu_over_S(exponential(1.0), 25.0) == pytest.approx(25.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("x", [30.0, 1e3, 1e5, 1e6, 3e8])
+def test_mu_over_S_of_an_exponential_is_alpha_x(x):
+    # x mu / S = alpha x exactly.  g = e^s and log S = -e^s cancel exactly
+    # in one rounded sum; subtracting them from s one by one cost 2.2e-8
+    # (relative) at x = 3e8
+    assert abs(mu_over_S(exponential(1.0), x) / x - 1.0) <= 4 * 2.0 ** -52
+    # for alpha != 1, log S = -alpha x - log alpha holds log alpha only to
+    # the spacing of alpha x, and no grouping recovers more than that
+    for alpha in (0.5, 3.0):
+        got, want = mu_over_S(exponential(alpha), x), alpha * x
+        assert abs(got / want - 1.0) <= 4 * 2.0 ** -52 + np.spacing(want)
+
+
 def test_support_errors():
     mu = step_mu([0, 1], [2.0])
     with pytest.raises(SupportExceeded):
