@@ -70,6 +70,10 @@ class ConstructionRange(SingTraceError):
     """Breakpoints or step values left the representable floating point range."""
 
 
+class TooFewSteps(SingTraceError, ValueError):
+    """A staircase needs at least two breakpoints."""
+
+
 class VerificationFailed(SingTraceError):
     """A staircase verification check was violated."""
 

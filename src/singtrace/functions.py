@@ -476,12 +476,29 @@ class PowerLog(Family):
         return None
 
     def g_inverse_point(self, y):
-        if self.q != 0:
+        """Solve p u + q log u = c = y + log(scale) for u > 1; e^t = e^u - e.  Newton in
+        w = log u descends from log(2c/p), right of the root of the convex p e^w + q w - c
+        for either sign of q; two Newton steps in u take off e^w's u * ulp(w) error."""
+        p, q, c = self.p, self.q, y + math.log(self.scale)
+        if q == 0:
+            u = c / p
+        elif c <= p:
             return None
-        u = (y + math.log(self.scale)) / self.p if self.p > 0 else None
-        if u is None or u <= 1.0:
+        else:
+            w = c / q if p == 0 else math.log(2.0 * c / p)
+            for _ in range(64 if p > 0 else 0):
+                e = math.exp(w + math.log(p))
+                step = (e + q * w - c) / (e + q)
+                w -= step
+                if not step > 1e-9 * w:
+                    break
+            if not w < 709.78:  # e^w overflows
+                return math.inf
+            u = math.exp(w)
+            for _ in range(2):
+                u -= (p * u + q * math.log(u) - c) / (p + q / u)
+        if u <= 1.0:
             return None
-        # e^t = e^u - e
         return float(logsubexp(u, 1.0))
 
 

@@ -24,14 +24,15 @@ its inputs.  Sources whose g may dip below 1 are raised by a vertical
 offset first (harmless: ideal membership is shift invariant), since the
 square root step heights assume g_A >= 1.
 
-The infimum is read off an analytic inverse where the family has one.
-Otherwise a doubling ladder of trial points is rated in one vectorized
-g evaluation to bracket it, and ITP steps (interpolate, truncate,
-project: Oliveira & Takahashi, ACM TOMS 47(1), 2021) shrink the bracket
-to 1e-9.  ITP never needs more than one step beyond bisection and
-converges superlinearly on smooth g: the vanisher of
-power_log(1.3, 1, 1.1) takes 15 scalar g evaluations per breakpoint,
-where bisection took 59.
+The solve starts at the margin point t_n + n + 1.  An analytic inverse
+(lines, every power-log, exponentials, g_step) answers at 1.05 scalar g
+evaluations per breakpoint.  Otherwise a doubling ladder from there is
+rated in one vectorized g evaluation: if its first rung exceeds the
+level the margin binds (0.05 per breakpoint for dominators of slope
+above 1/2), else ITP steps (interpolate, truncate, project; Oliveira &
+Takahashi, ACM TOMS 47(1), 2021) shrink the first bracket to 1e-9, at
+most one step beyond bisection: 14 per vanisher breakpoint of
+power_log(1.3, 1, 1.1) without its inverse.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Bounded, ConstructionRange, FiniteRank, VerificationFailed
+from .errors import Bounded, ConstructionRange, FiniteRank, TooFewSteps, VerificationFailed
 from .functions import GFunction, g_step, g_transform, knot_grid, shift
 from .ideals import _KERNEL_THRESHOLDS, _threshold_ladder
 from .indices import matuszewska
@@ -113,18 +114,18 @@ def _tail_integrability(variant, source: GFunction):
 def _solve_exceed(g: GFunction, level: float, t_lo: float, horizon: float | None):
     """inf{ t >= t_lo : g(t) > level } as (t, g(t)); g(t) is None when not evaluated.
 
-    An analytic inverse answers directly.  Otherwise the ladder t_lo,
-    then max(t_lo, 1) + 0, 1, 3, 7, ... up to the horizon (or 1e12) is
-    rated in one g.eval, and ITP shrinks the first bracket to 1e-9,
-    keeping g(lo) <= level < g(hi) and returning hi.  Where floats are
-    coarser than 1e-9 it stops at adjacent floats.  Raises Bounded when
+    An analytic inverse answers directly.  Otherwise the ladder t_lo + 0,
+    1, 3, 7, ... up to the horizon (or 1e12) is rated in one g.eval: g(t_lo)
+    above the level is the answer, else ITP shrinks the first bracket to
+    1e-9, keeping g(lo) <= level < g(hi) and returning hi.  Where floats
+    are coarser than 1e-9 it stops at adjacent floats.  Raises Bounded when
     no ladder point exceeds the level.
     """
     t = g.inverse_point(level)
     if t is not None:
         return max(t, t_lo), None
     cap = horizon if horizon is not None else _BRACKET_MAX
-    ladder = [t_lo, max(t_lo, 1.0)]
+    ladder = [t_lo]
     width = 1.0
     while ladder[-1] + width <= cap:
         ladder.append(ladder[-1] + width)
@@ -177,7 +178,7 @@ def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
     if g_src.finite_rank:
         raise FiniteRank("the source profile has finite rank")
     if n_steps < 2:
-        raise ValueError("need at least 2 steps")
+        raise TooFewSteps(f"need at least 2 steps, got {n_steps}")
     g0 = g_src(_START_T)
     if not math.isfinite(g0):
         raise FiniteRank("g is infinite at the starting point")
@@ -189,17 +190,14 @@ def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
     ts = [_START_T]
     gs = [gA(_START_T)]  # gA at each breakpoint, reused from the solver where it has it
     for n in range(1, n_steps):
-        t_n = ts[-1]
-        target_phi = phi(gs[-1]) + (n + 1)
-        level = phi_inv(target_phi)  # g must exceed this level
-        t_cand, g_cand = _solve_exceed(gA, level, t_n, g_src.horizon_t)
-        t_next = max(t_n + (n + 1), t_cand)
+        level = phi_inv(phi(gs[-1]) + (n + 1))  # g must exceed this level
+        t_next, g_next = _solve_exceed(gA, level, ts[-1] + (n + 1), g_src.horizon_t)
         if not math.isfinite(t_next):
             raise ConstructionRange(f"breakpoint {n + 1} left the float range")
         if g_src.horizon_t is not None and t_next > g_src.horizon_t:
             raise Bounded("construction ran past the trusted horizon of the source")
         ts.append(float(t_next))
-        gs.append(g_cand if g_cand is not None and t_next == t_cand else gA(t_next))
+        gs.append(gA(t_next) if g_next is None else g_next)
 
     if variant == VANISHER:
         values = tuple(math.sqrt(v) for v in gs)

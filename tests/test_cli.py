@@ -426,3 +426,11 @@ def test_out_of_range_criterion_flags_exit_1_with_one_line(capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("input error: ")
+
+
+def test_cli_construct_one_step_exits_1_with_one_line(capsys):
+    # a staircase needs two breakpoints; the refusal is a typed error, not a traceback
+    assert main(["construct", "vanisher", "--kind", "power_log", "--p", "1", "--n-steps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("TooFewSteps: ")

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from singtrace.errors import Bounded, FiniteRank, VerificationFailed
+from singtrace.errors import Bounded, FiniteRank, TooFewSteps, VerificationFailed
 from singtrace.functions import (
     PowerLog,
     _View,
     exponential,
     g_step,
     g_transform,
+    log_e_plus,
+    logsubexp,
     pointwise_min,
     power_log,
     pure_power,
@@ -22,10 +24,13 @@ from singtrace.ideals import MEMBER, NON_MEMBER, in_kernel, in_principal_ideal
 from singtrace.indices import matuszewska
 from singtrace.staircase import (
     _itp,
+    _solve_exceed,
     construct_dominator,
     construct_vanisher,
     verify_construction,
 )
+
+from panel_twin import panel_twin
 
 
 def line_g():
@@ -105,6 +110,13 @@ def test_finite_rank_source_rejected():
         construct_vanisher(fr)
     with pytest.raises(FiniteRank):
         construct_dominator(fr)
+
+
+def test_one_step_rejected_as_a_value_error():
+    for build in (construct_vanisher, construct_dominator):
+        with pytest.raises(TooFewSteps, match="need at least 2 steps, got 1") as info:
+            build(line_g(), n_steps=1)
+        assert isinstance(info.value, ValueError)
 
 
 def test_bounded_source_rejected():
@@ -231,10 +243,16 @@ def test_powerlog_source_constructs_and_verifies():
 # ---------------------------------------------------------------------------
 # the numeric solver, on sources without an analytic inverse
 
+
+def twin_g(scale, p, q):
+    """g of power_log(scale, p, q) with no analytic inverse, so ITP runs."""
+    return g_transform(panel_twin(power_log(scale, p, q)))
+
+
 NUMERIC_SOURCES = {
-    "power_log_q": lambda: g_transform(power_log(1.3, 1.0, 1.1)),
-    "power_log_slow": lambda: g_transform(power_log(1.0, 0.05, 0.5)),
-    "shift": lambda: shift(g_transform(power_log(0.8, 1.0, -0.4)), 0.7, -0.3),
+    "power_log_q": lambda: twin_g(1.3, 1.0, 1.1),
+    "power_log_slow": lambda: twin_g(1.0, 0.05, 0.5),
+    "shift": lambda: shift(twin_g(0.8, 1.0, -0.4), 0.7, -0.3),
     "pointwise_min": lambda: pointwise_min(g_transform(power_log(1.0, 1.2, 0.5)),
                                            g_transform(power_log(2.0, 1.1, 1.5))),
     "sampled_tail": lambda: g_transform(sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2],
@@ -276,7 +294,7 @@ def test_solver_work_per_breakpoint(monkeypatch):
     calls = []
     scalar = _View.__call__
     monkeypatch.setattr(_View, "__call__", lambda self, t: calls.append(t) or scalar(self, t))
-    construct_vanisher(g_transform(power_log(1.3, 1.0, 1.1)), n_steps=40)
+    construct_vanisher(twin_g(1.3, 1.0, 1.1), n_steps=40)
     assert len(calls) / 39 <= 20  # bisection needed about 58
 
 
@@ -297,7 +315,7 @@ def test_itp_takes_at_most_one_step_beyond_bisection():
 
 def test_solver_stops_at_adjacent_floats():
     # breakpoints near 1e7, where one ulp (1.9e-9) exceeds the 1e-9 tolerance
-    s = construct_vanisher(g_transform(power_log(1.0, 0.05, 0.5)), n_steps=40)
+    s = construct_vanisher(twin_g(1.0, 0.05, 0.5), n_steps=40)
     gA = s.normalized_source()
     t_prev, t = s.breakpoints[-2:]
     assert t > 1e7 and t > t_prev + 40
@@ -310,3 +328,96 @@ def test_solver_bounded_past_the_horizon():
                            g_step([1.0, 2.0], [1.0, 1.5, 2.0], horizon=50.0))
     with pytest.raises(Bounded, match=r"^g never exceeds \S+ on the trusted range \(up to 50\)$"):
         construct_vanisher(capped, n_steps=10)
+
+
+# ---------------------------------------------------------------------------
+# the power-log inverse, and the solver work it saves
+
+
+def _inverse_grid():
+    """Seeded (scale, p, q, y): every sign of q, q = -p, p = 0, q = 0, and y
+    from just above the floor p - log(scale) of g up to 6.7e5, and below it."""
+    rng = np.random.default_rng(19)
+    families = [(1.0, 1.0, -1.0), (2.0, 0.5, -0.5), (1.0, 0.0, 2.0), (0.5, 0.0, 0.3),
+                (1.0, 1.5, 0.0), (3.0, 0.7, 0.0), (0.5, 0.05, 0.5), (1.0, 1.0, 1.0)]
+    for _ in range(24):
+        p = float(rng.uniform(0.02, 3.0))
+        q = 0.0 if rng.random() < 0.2 else float(rng.uniform(-p, 3.0))
+        families.append((float(np.exp(rng.uniform(-2.0, 2.0))), p, q))
+    for scale, p, q in families:
+        floor = p - math.log(scale)
+        for dy in (-0.5, 1e-3, 0.5, 3.0, 40.0, 1e3, 6.7e5):
+            yield scale, p, q, floor + dy
+
+
+def test_power_log_inverse_brackets_the_crossing():
+    checked = 0
+    for scale, p, q, y in _inverse_grid():
+        fam = PowerLog(scale, p, q)
+        t = fam.g_inverse_point(y)
+        if y <= p - math.log(scale):  # g exceeds y everywhere
+            assert t is None and fam.g(-50.0) > y
+            continue
+        if t == math.inf:  # p = 0: the crossing lies past the floats
+            assert p == 0 and fam.g(np.finfo(float).max) <= y
+            continue
+        d = max(1e-9, 2.0 * float(np.spacing(abs(t))))
+        assert fam.g(t - d) <= y <= fam.g(t + d), (scale, p, q, y, t)
+        if q == 0:  # bit for bit the direct formula
+            assert t == float(logsubexp((y + math.log(scale)) / p, 1.0))
+        checked += 1
+    assert checked >= 180
+
+
+def test_power_log_inverse_agrees_with_itp_on_the_panel_twin():
+    for scale, p, q, y in _inverse_grid():
+        t = PowerLog(scale, p, q).g_inverse_point(y)
+        if t is None or t > 1e11:  # the ladder stops at 1e12
+            continue
+        twin = twin_g(scale, p, q)
+        assert twin.inverse_point(y) is None
+        t_itp, _ = _solve_exceed(twin, y, t - 10.0, None)
+        # where g is flat, as for p = 0 near t = 5e8, floats pin the crossing
+        # only to a few ulps of y over g'(t)
+        slope = (p + q / float(log_e_plus(t))) / (1.0 + math.exp(1.0 - t))
+        d = max(1e-9, 2.0 * float(np.spacing(abs(t))), 8.0 * float(np.spacing(abs(y))) / slope)
+        assert abs(t_itp - t) <= d, (scale, p, q, y)
+
+
+def _count_work(monkeypatch):
+    """Record each scalar g call and each ITP run of the staircase solver."""
+    calls, itp_runs = [], []
+    scalar = _View.__call__
+    monkeypatch.setattr(_View, "__call__", lambda self, t: calls.append(t) or scalar(self, t))
+    monkeypatch.setattr("singtrace.staircase._itp",
+                        lambda *args: itp_runs.append(args[2]) or _itp(*args))
+    return calls, itp_runs
+
+
+@pytest.mark.parametrize("build", [construct_vanisher, construct_dominator])
+def test_power_log_staircase_takes_one_g_call_per_breakpoint(monkeypatch, build):
+    calls, itp_runs = _count_work(monkeypatch)
+    build(g_transform(power_log(1.0, 1.0, 1.0)), n_steps=40)
+    assert len(calls) / 39 <= 1.1 and itp_runs == []
+
+
+@pytest.mark.parametrize("name", ["power_log_q", "pointwise_min"])
+def test_numeric_dominator_runs_no_itp_where_the_margin_binds(monkeypatch, name):
+    calls, itp_runs = _count_work(monkeypatch)
+    s = construct_dominator(NUMERIC_SOURCES[name](), n_steps=40)
+    bps = s.breakpoints
+    set_by_solver = [bps[n] for n in range(1, len(bps)) if bps[n] != bps[n - 1] + (n + 1)]
+    assert len(itp_runs) == len(set_by_solver)
+    # slopes above 1/2: the margin sets every breakpoint, and the ladder's
+    # first rung gives g there, so only the two start-point calls remain
+    assert set_by_solver == [] and len(calls) <= 2
+
+
+def test_power_log_staircases_verify_across_q():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        p = 1.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 3.0))
+        q = float(rng.uniform(-p, 3.0)) or 1.0
+        src = g_transform(power_log(float(np.exp(rng.uniform(-1.0, 1.0))), p, q))
+        for build in (construct_vanisher, construct_dominator):
+            verify_construction(build(src, 40))
