@@ -876,6 +876,8 @@ class SampledMu(_StepFamily):
             raise NegativeValue("sample values must be nonnegative")
         if any(b > a for a, b in zip(v, v[1:])):
             raise ValueError("sample values must be non-increasing")
+        if self.tail is None and v[0] == v[-1] > 0:
+            raise NotInfinitesimal("constant samples give a non-vanishing profile")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 

@@ -10,9 +10,9 @@ and its kernel consists of the f whose gap over some shifted copy of
 g_B exceeds every constant from some point on.  Since vertical shifts
 are free, strict slope dominance settles membership conclusively; the
 decisions below compare exact growth profiles when both sides carry
-them and otherwise fall back to a tail-window search that is honest
-about its horizon (Member needs a verified witness, NonMember needs a
-slope refutation, anything else stays undecided).
+them and otherwise evaluate each side once on a tail grid, honest about
+its horizon (Member needs the a = 0 gap to hold up on that grid,
+NonMember needs a slope refutation, anything else stays undecided).
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ NON_MEMBER = "non_member"
 UNDECIDED = "undecided"
 
 
-# The tail search is fixed.  Its grid covers the last half of the horizon
-# (the inputs' shortest trusted horizon, else 200) in 1200 points.  The
-# horizon ideal tries the shift a = 0, then 21 shifts from -50 to 50.  Two
-# fitted slopes differ when they lie more than the margin apart.
+# The tail grid is fixed.  It covers the last half of the horizon (the
+# inputs' shortest trusted horizon, else 200) in 1200 points.  A horizon
+# member is witnessed by the a = 0 gap on that grid.  Two fitted slopes
+# differ when they lie more than the margin apart.
 _TAIL_FRACTION = 0.5
 _HORIZON_T = 200.0
 _GRID_POINTS = 1200
-_SHIFTS = np.concatenate([[0.0], np.linspace(-50.0, 50.0, 21)])
 _SLOPE_MARGIN = 0.05
 _KERNEL_THRESHOLDS = (1.0, 10.0, 100.0)
 
@@ -84,10 +83,9 @@ def _tail_grid(ga: GFunction, gb: GFunction):
     return knot_grid(lo, T, _GRID_POINTS, knots, (0.0, 1.0)), T
 
 
-def _fit_slope(g: GFunction, ts: np.ndarray) -> float:
-    """Least-squares slope of g on ts: +inf where g is +inf on all of ts
+def _fit_slope(ts: np.ndarray, ys: np.ndarray) -> float:
+    """Least-squares slope of ys = g(ts): +inf where g is +inf on all of ts
     (it outgrows every line), nan with fewer than two finite values else."""
-    ys = g.eval(ts)
     keep = np.isfinite(ys)
     if np.count_nonzero(keep) < 2:
         return math.inf if np.all(ys == math.inf) else math.nan
@@ -159,12 +157,13 @@ def _decide(ga, gb, kernel) -> IdealDecision:
             return _refuted("exact", pa.slope, pb.slope,
                             detail="no shift repairs a growth rate deficit")
         return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T)
-    sa, sb = _fit_slope(ga, ts), _fit_slope(gb, ts)
+    ya, yb = ga.eval(ts), gb.eval(ts)
+    sa, sb = _fit_slope(ts, ya), _fit_slope(ts, yb)
     if math.isnan(sa) or math.isnan(sb):
         return IdealDecision(UNDECIDED, "horizon", note="too few finite values of g to fit a slope")
     if sa < sb - _SLOPE_MARGIN:
         return _refuted("horizon", sa, sb, window=(float(ts[0]), float(ts[-1])))
-    return (_horizon_kernel if kernel else _horizon_ideal)(ga, gb, sa, sb, ts, T)
+    return (_horizon_kernel if kernel else _horizon_ideal)(ya - yb, sa, sb, ts, T)
 
 
 def _member(mode, ts, T, a=0.0, b=0.0, ladder=(), note="") -> IdealDecision:
@@ -218,14 +217,11 @@ def _exact_ideal(ga, gb, pa, pb, order, ts, T) -> IdealDecision:
                    note="equal growth: bounded gap absorbed by the vertical shift")
 
 
-def _horizon_ideal(ga, gb, sa, sb, ts, T) -> IdealDecision:
-    ga_ts = ga.eval(ts)
-    for a in _SHIFTS:
-        gaps = ga_ts - gb.eval(ts - a)
-        if np.all(gaps > -math.inf) and _gap_trend_stable(gaps):  # +inf: ga overflowed
-            b = float(np.min(gaps))
-            return _member("horizon", ts, T, float(a), b if b < 0 else 0.0,
-                           note="verified on the trusted horizon only")
+def _horizon_ideal(gaps, sa, sb, ts, T) -> IdealDecision:
+    if np.all(gaps > -math.inf) and _gap_trend_stable(gaps):  # +inf: ga overflowed
+        b = float(np.min(gaps))
+        return _member("horizon", ts, T, b=b if b < 0 else 0.0,
+                       note="verified on the trusted horizon only")
     return IdealDecision(
         UNDECIDED, "horizon",
         note=f"fitted slopes {sa:.4g} vs {sb:.4g}: gap drifts down without a slope margin",
@@ -246,8 +242,7 @@ def _exact_kernel(ga, gb, pa, pb, order, ts, T) -> IdealDecision:
     return _member("exact", ts, T, a, ladder=ladder, note=note)
 
 
-def _horizon_kernel(ga, gb, sa, sb, ts, T) -> IdealDecision:
-    gaps = ga.eval(ts) - gb.eval(ts)
+def _horizon_kernel(gaps, sa, sb, ts, T) -> IdealDecision:
     ladder = _threshold_ladder(gaps, ts, _KERNEL_THRESHOLDS)
     crossed = [t0 for _, t0, ok in ladder if ok]
     full = len(crossed) == len(_KERNEL_THRESHOLDS)

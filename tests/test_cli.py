@@ -147,6 +147,15 @@ def test_constant_g_step_rejected_at_the_boundary(capsys, tmp_path):
     assert captured.err.startswith("NotInfinitesimal:")
 
 
+def test_constant_sampled_rejected_at_the_boundary(capsys, tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text('{"kind": "sampled", "grid": [0, 1, 1e26], "values": [1, 1, 1]}')
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("NotInfinitesimal:")
+
+
 def write_family(tmp_path, name, obj):
     f = tmp_path / name
     f.write_text(json.dumps(obj))
@@ -206,6 +215,17 @@ def test_cli_undecided_exit_2(capsys, tmp_path):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["verdict"] == "undecided"
+
+
+def test_cli_ideal_check_near_equal_growth_exits_2(capsys, tmp_path):
+    # sampled (x+e)^-0.86415 to t = 40 against power_log(0.86666, 1.083):
+    # the unshifted gap drifts down and the fitted slopes lie within the margin
+    grid = [math.exp(40.0 * i / 199) for i in range(200)]
+    a = write_family(tmp_path, "a.json", {"kind": "sampled", "grid": grid,
+                                          "values": [(x + math.e) ** -0.86415 for x in grid]})
+    b = write_family(tmp_path, "b.json", {"kind": "power_log", "p": 0.86666, "q": 1.083})
+    assert main(["ideal-check", a, b, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "undecided"
 
 
 def test_cli_ideal_and_kernel_checks(capsys, tmp_path):

@@ -406,6 +406,15 @@ def test_gstep_rejects_a_constant_g():
     assert GStep((1.0,), (math.inf, math.inf)).finite_rank
 
 
+def test_sampled_rejects_constant_samples_without_a_tail():
+    # equal positive samples with no tail are mu = constant, which does not
+    # vanish; all zeros is the zero profile, and a tail may still decay
+    with pytest.raises(NotInfinitesimal):
+        sampled([0.0, 1.0, 1e26], [1.0, 1.0, 1.0])
+    assert sampled([1.0, 2.0], [0.0, 0.0]).finite_rank
+    assert not sampled([1.0, 2.0], [1.0, 1.0], tail=PowerLog(p=2.0)).finite_rank
+
+
 def test_step_mu_trims_zero_tail():
     fam = StepMu((0.0, 1.0, 2.0), (3.0, 0.0))
     assert fam.values == (3.0,)

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from singtrace.errors import NotRegular
 from singtrace.functions import (
+    GFunction,
     dilate,
     exponential,
     g_step,
@@ -197,6 +199,65 @@ def test_horizon_mode_equal_slope_sampled_is_undecided_kernel():
     assert dec.verdict == UNDECIDED
     ideal = in_principal_ideal(g_transform(a), g_transform(b))
     assert ideal.verdict == MEMBER and ideal.mode == "horizon"
+
+
+# the 200-point log-spaced grid to t = 40 of the benchmark's sampled profiles
+BENCH_GRID = tuple(math.exp(40.0 * i / 199) for i in range(200))
+
+
+def sampled_power_log(p, q=0.0, scale=1.0):
+    """scale (x+e)^-p log(x+e)^-q on BENCH_GRID, without a tail: horizon mode."""
+    return sampled(BENCH_GRID, [scale * (x + math.e) ** -p * math.log(x + math.e) ** -q
+                                for x in BENCH_GRID])
+
+
+def test_horizon_ideal_near_equal_growth_is_undecided():
+    # B's p is 0.0025 larger, so A is not a member; the fitted slopes on
+    # [20, 40] lie within the margin and the unshifted gap drifts down, so
+    # there is neither a witness nor a refutation
+    dec = in_principal_ideal(sampled_power_log(0.86415), power_log(p=0.86666, q=1.083))
+    assert dec.verdict == UNDECIDED and dec.mode == "horizon" and dec.witness is None
+
+
+@pytest.mark.parametrize("a, b", [
+    (sampled_power_log(1.7), power_log(1.1, 0.7)),
+    (sampled_power_log(0.86415), power_log(p=0.86666, q=1.083)),
+])
+@pytest.mark.parametrize("decide", [in_principal_ideal, in_kernel])
+def test_horizon_decision_evaluates_each_side_once(monkeypatch, decide, a, b):
+    calls = []
+    evaluate = GFunction.eval
+    monkeypatch.setattr(GFunction, "eval", lambda self, t: calls.append(t) or evaluate(self, t))
+    assert decide(a, b).mode == "horizon"
+    assert len(calls) == 2
+
+
+def test_well_separated_horizon_pairs_keep_their_verdicts():
+    # A sampled, B exact, |p_A - p_B| in [0.1, 1]; truth is the
+    # lexicographic (p, q) order of bench/oracle.py.  The 3 undecided
+    # verdicts: the kernel of (p, q) = (1.265, -0.129) against (1.075,
+    # 1.972), whose threshold ladder stays incomplete by t = 40, and both
+    # decisions of (1.926, 1.761) against (2.029, -0.068), whose fitted
+    # slopes on [20, 40] differ by less than the margin.
+    rng = random.Random(11)
+    wrong, undecided = [], []
+    for _ in range(200):
+        pa = rng.uniform(0.2, 2.5)
+        pb = pa + rng.choice((-1, 1)) * rng.uniform(0.1, 1.0)
+        qa, qb = rng.uniform(-0.2, 2.0), rng.uniform(-0.2, 2.0)
+        sa, sb = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        if pb < 0.2:
+            continue
+        a, b = sampled_power_log(pa, qa, sa), power_log(scale=sb, p=pb, q=qb)
+        for decide, want in ((in_principal_ideal, (pa, qa) >= (pb, qb)),
+                             (in_kernel, (pa, qa) > (pb, qb))):
+            verdict = decide(a, b).verdict
+            if verdict == UNDECIDED:
+                undecided.append((decide.__name__, pa, qa, pb, qb))
+            elif (verdict == MEMBER) != want:
+                wrong.append((decide.__name__, pa, qa, pb, qb, verdict))
+    assert wrong == []
+    assert len(undecided) <= 3, undecided
 
 
 # ---------------------------------------------------------------------------
