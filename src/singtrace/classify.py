@@ -8,16 +8,26 @@ equivalent detectors:
 * liminf: liminf of x mu(x) / S(x) equals 0;
 * ratio: 1 is a limit point of S(lam x) / S(x) for some (any) lam > 1.
 
-The limit statements are detected numerically on dyadic tail windows of
-the logarithmic coordinate s = log x: window j covers
+For a growth profile g = p t + q log t + c + o(1) both limits are exact
+(Karamata's theorem; Bingham, Goldie and Teugels, Regular Variation,
+1.6): x mu(x)/S(x) tends to |1 - p| and S(lam x)/S(x) to lam^(1 - p),
+and an exponential (slope inf) sends them to inf and 0.  So both
+criteria say traceable exactly when the slope is 1, with that limit as
+evidence.  The indices read the same profile: there the three criteria
+are one reading of one profile on the family's trace_basis, and their
+agreement confirms nothing.
+
+Without a profile (staircases, samples without a tail model, minima with
+such a side) the limit statements are detected numerically on dyadic
+tail windows of the logarithmic coordinate s = log x: window j covers
 [T 2^(-j-1), T 2^(-j)].  Positive evidence is a last window minimum m0
 below theta, minima that shrink by a factor 0.8 or more from window to
 window, and a limit that extrapolates to near 0: with m(T) ~ L + c/T,
 Richardson's L ~ 2 m0 - m1 must be at most m0 / 4.  A hit below theta
-alone is not enough: by Karamata's theorem x mu(x)/S(x) tends to
-|1 - p| for a power-log, a nonzero limit that sits below theta when p
-is near 1.  Stable minima at least 3 theta away from the target refute;
-everything else is honestly undecided.
+alone is not enough: the limit can be nonzero yet sit below theta.
+Stable minima at least 3 theta away from the target refute; a window
+whose values hold a NaN decides nothing; everything else is honestly
+undecided.
 
 Both limit statements read the same log S: x mu(x)/S(x) is
 exp(s - g(s) - log S(s)) and S(lam x)/S(x) is exp(log S(s + log lam) -
@@ -121,11 +131,7 @@ def _tail_sample(mu: EigenvalueFunction, g: GFunction, T: float):
 
 def _window_minima(mu: EigenvalueFunction, sample, lam: float | None) -> list:
     """Per window, nearest the horizon first, the least x mu(x) / S(x) (lam
-    None) or |S(lam x) / S(x) - 1|, a NaN counting as inf.
-
-    A NaN should leave the verdict undecided instead; that change would
-    flip verdicts of exponential families and is listed in ROADMAP.md.
-    """
+    None) or |S(lam x) / S(x) - 1|; NaN for a window whose values hold one."""
     ss, ls, gs, starts = sample
     with np.errstate(over="ignore", invalid="ignore"):
         if lam is None:
@@ -134,22 +140,38 @@ def _window_minima(mu: EigenvalueFunction, sample, lam: float | None) -> list:
             values = np.exp(ss - (gs + ls))
         else:
             values = np.abs(np.exp(log_S_grid(mu, ss + math.log(lam)) - ls) - 1.0)
-    return np.minimum.reduceat(np.where(np.isnan(values), np.inf, values), starts)[::-1].tolist()
+    return np.minimum.reduceat(values, starts)[::-1].tolist()
+
+
+def _exact_limit(slope: float, lam: float | None) -> float:
+    """Karamata's limit of x mu(x) / S(x) (lam None) or S(lam x) / S(x) for a
+    growth profile of this slope."""
+    if slope == math.inf:
+        return math.inf if lam is None else 0.0
+    return abs(1.0 - slope) if lam is None else lam ** (1.0 - slope)
 
 
 def _tail_criterion(mu: EigenvalueFunction, lam: float | None,
                     samples: dict) -> TraceabilityVerdict:
     """The liminf criterion (lam None) or the ratio criterion at lam.
 
-    Ratio windows end log lam below a trusted horizon, as S(lam x) must
-    stay inside it.  samples maps a horizon T to its window sample, or to
-    the UndecidedBranch or QuadratureUnconverged that sampling raised, so
-    criteria on the same T share one.
+    A family with a growth profile is decided by the exact limit.  Without
+    one, ratio windows end log lam below a trusted horizon, as S(lam x)
+    must stay inside it.  samples maps a horizon T to its window sample, or
+    to the UndecidedBranch or QuadratureUnconverged that sampling raised,
+    so criteria on the same T share one.
     """
     crit = CRIT_LIMINF if lam is None else CRIT_RATIO
     g = g_transform(mu)
     if g.finite_rank:
         return TraceabilityVerdict(False, crit, note="finite rank: singular traces vanish")
+    lam_ev = {} if lam is None else {"lambda": lam}
+    if (profile := g.profile) is not None:
+        slope = profile.slope
+        return TraceabilityVerdict(
+            slope == 1.0, crit, evidence={"limit": _exact_limit(slope, lam), **lam_ev},
+            note=f"exact limit of the growth profile (basis: {mu.family.trace_basis}); all "
+                 "three criteria read this one profile, so they do not check each other")
     T = _HORIZON_LOG
     if g.horizon_t is not None:
         T = min(T, g.horizon_t - (0.0 if lam is None else math.log(lam)))
@@ -168,9 +190,11 @@ def _tail_criterion(mu: EigenvalueFunction, lam: float | None,
     except (UndecidedBranch, QuadratureUnconverged) as exc:
         # no branch or no trustworthy log S on the windows: say so instead of guessing
         return TraceabilityVerdict(None, crit, horizon_limited=True, note=str(exc))
-    evidence = {"window_minima": tuple(minima), **({} if lam is None else {"lambda": lam}),
-                "horizon_log": T, "theta": _THETA}
-    verdict, why = _limit_point_verdict(minima, _THETA)
+    evidence = {"window_minima": tuple(minima), **lam_ev, "horizon_log": T, "theta": _THETA}
+    if any(map(math.isnan, minima)):
+        verdict, why = None, "a window holds a NaN, which is no evidence"
+    else:
+        verdict, why = _limit_point_verdict(minima, _THETA)
     return TraceabilityVerdict(verdict, crit, evidence=evidence,
                                horizon_limited=g.horizon_t is not None, note=why)
 

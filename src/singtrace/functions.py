@@ -1045,6 +1045,12 @@ class MinOf(Family):
         pa, pb = self.left.profile, self.right.profile
         return None if pa is None or pb is None else min(pa, pb)
 
+    def knots_t(self):
+        # a jump of either side can be a jump of the minimum; an extra knot
+        # where the other side is lower only adds a scan or grid point
+        knots = (self.left.knots_t or ()) + (self.right.knots_t or ())
+        return tuple(sorted(set(knots))) if knots else None
+
     def g(self, t):
         return np.minimum(self.left.eval(t), self.right.eval(t))
 

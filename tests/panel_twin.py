@@ -1,7 +1,13 @@
-"""A test-only twin of a family: the same g, mu and growth profile, no closed form.
+"""Test-only twins of a family.
 
-S of the twin runs on panels, so comparing it with the family's closed form
-checks the one against the other.
+PanelTwin: the same g, mu and growth profile, no closed form.  S of the twin
+runs on panels, so comparing it with the family's closed form checks the one
+against the other.
+
+WindowTwin: the same g, mu, closed forms of S, jumps, horizon and trace class,
+but no growth profile.  classify then decides the liminf and ratio criteria on
+dyadic tail windows, as it does for staircases, and estimates the indices, so
+the window path runs on families whose limits are known.
 """
 
 from dataclasses import dataclass
@@ -27,3 +33,49 @@ class PanelTwin(Family):
 def panel_twin(mu):
     """The profile mu, with S read through panels."""
     return EigenvalueFunction(PanelTwin(mu.family), mu.a, mu.b)
+
+
+@dataclass(frozen=True)
+class WindowTwin(Family):
+    inner: Family
+
+    profile = None
+
+    def g(self, t):
+        return self.inner.g(t)
+
+    def mu(self, x):
+        return self.inner.mu(x)
+
+    def log_S_up(self, s):
+        return self.inner.log_S_up(s)
+
+    def log_S_down(self, s):
+        return self.inner.log_S_down(s)
+
+    def edges_x(self):
+        return self.inner.edges_x()
+
+    def knots_t(self):
+        return self.inner.knots_t()
+
+    @property
+    def finite_rank(self):
+        return self.inner.finite_rank
+
+    @property
+    def horizon_t(self):
+        return self.inner.horizon_t
+
+    @property
+    def trace_class(self):
+        return self.inner.trace_class
+
+    @property
+    def trace_basis(self):
+        return self.inner.trace_basis
+
+
+def window_twin(fn):
+    """The profile or g view fn, as the same view, without its growth profile."""
+    return type(fn)(WindowTwin(fn.family), fn.a, fn.b)

@@ -32,7 +32,7 @@ from singtrace.functions import (
 from singtrace.integral import log_S, log_S_grid
 from singtrace.staircase import construct_dominator, construct_vanisher
 
-from panel_twin import panel_twin
+from panel_twin import panel_twin, window_twin
 
 TRACEABLE = {
     "power_p1": True,
@@ -198,11 +198,13 @@ def test_classify_computes_each_window_once(monkeypatch):
         return real_tc(*args, **kwargs)
 
     line = g_transform(pure_power(p=1))
-    # power_log(p=1) has no horizon: both criteria read one sample, log S on
-    # all 4 windows from one call, and the ratio adds one call on the shifted
-    # windows.  The dominator is trusted to t = 820, so its ratio windows end
-    # log 2 earlier on a sample of their own.
-    cases = [(power_log(p=1), 2), (construct_dominator(line, 40).g(), 3)]
+    # power_log(p=1) has no horizon: both criteria read one sample of its
+    # window twin, log S on all 4 windows from one call, and the ratio adds
+    # one call on the shifted windows.  The dominator is trusted to t = 820,
+    # so its ratio windows end log 2 earlier on a sample of their own.  With
+    # its growth profile, power_log(p=1) takes no window sample at all.
+    cases = [(window_twin(power_log(p=1)), 2), (construct_dominator(line, 40).g(), 3),
+             (power_log(p=1), 0)]
     for fn, grids in cases:
         calls.clear()
         monkeypatch.setattr(classify_module, "log_S_grid", counted_grid)
@@ -214,6 +216,10 @@ def test_classify_computes_each_window_once(monkeypatch):
         # the shared sample gives exactly what each criterion finds alone
         alone_lim, alone_rat = traceable_by_liminf(fn), traceable_by_ratio(fn)
         assert rep.by_liminf == alone_lim and rep.by_ratio == alone_rat
+        if grids == 0:
+            assert rep.by_liminf.evidence == {"limit": 0.0}
+            assert rep.by_ratio.evidence == {"limit": 1.0, "lambda": 2.0}
+            continue
         assert rep.by_liminf.evidence["window_minima"] == alone_lim.evidence["window_minima"]
         assert rep.by_ratio.evidence["window_minima"] == alone_rat.evidence["window_minima"]
 
@@ -221,15 +227,25 @@ def test_classify_computes_each_window_once(monkeypatch):
 @pytest.mark.parametrize("name", ["power_p1", "exponential", "dominator", "sampled_tail"])
 def test_window_minima_match_each_window_sampled_alone(name):
     # classify samples its windows as one joined grid; each window sampled
-    # on its own must give the same minima, nearest the horizon first
+    # on its own must give the same minima, nearest the horizon first.  A
+    # family with a growth profile is decided by its exact limit, so its
+    # window twin is sampled instead; a NaN stays a NaN in its window
     classify_module = importlib.import_module("singtrace.classify")
-    fn = {
-        "power_p1": power_log(p=1),
-        "exponential": exponential(1.0),
+    exact = {
+        "power_p1": (power_log(p=1), 0.0, 1.0),
+        "exponential": (exponential(1.0), np.inf, 0.0),
+        "sampled_tail": (sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2],
+                                 tail=PowerLog(p=2.0)), 1.0, 0.5),
+    }
+    if name in exact:
+        fn, liminf, ratio = exact[name]
+        rep = classify(fn)
+        assert rep.by_liminf.evidence == {"limit": liminf}
+        assert rep.by_ratio.evidence == {"limit": ratio, "lambda": 2.0}
+        fn = window_twin(fn)
+    else:
         # trusted to t = 820: its windows hold knots of the staircase
-        "dominator": construct_dominator(g_transform(pure_power(p=1)), 40).g(),
-        "sampled_tail": sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2], tail=PowerLog(p=2.0)),
-    }[name]
+        fn = construct_dominator(g_transform(pure_power(p=1)), 40).g()
     rep = classify(fn)
     mu, g, lam = g_inverse(fn), g_transform(fn), rep.config.ratio_lambda
     for v in (rep.by_liminf, rep.by_ratio):
@@ -245,7 +261,7 @@ def test_window_minima_match_each_window_sampled_alone(name):
                     vals = np.exp(ss - (g.eval(ss) + ls))
                 else:
                     vals = np.abs(np.exp(log_S_grid(mu, ss + np.log(lam)) - ls) - 1.0)
-            want.append(float(np.min(np.where(np.isnan(vals), np.inf, vals))))
+            want.append(float(np.min(vals)))
         assert np.array(v.evidence["window_minima"]).view(np.int64).tolist() == \
             np.array(want).view(np.int64).tolist(), v.criterion
     if name == "dominator":
@@ -322,18 +338,25 @@ def _never_converging():
 
 
 def test_unconverged_tail_leaves_the_tail_criteria_undecided():
-    # log S on the windows needs a tail the march cannot finish; both
-    # criteria used to read a truncated sum as "hit below theta"
-    rep = classify(_never_converging())
+    # log S on the windows of the window twin needs a tail the march cannot
+    # finish; both criteria used to read a truncated sum as "hit below theta"
+    rep = classify(window_twin(_never_converging()))
     for v in (rep.by_liminf, rep.by_ratio):
         assert v.traceable is None and v.horizon_limited
         assert "the integral from s = 4000" in v.note and "still grows" in v.note
-    # the exact indices (1, 1) still decide
+    # the minimum itself grows like its p = 1, q = 1.5 lower side: the exact
+    # indices (1, 1) decide, and so do the exact limits of both tail criteria
+    rep = classify(_never_converging())
     assert rep.by_indices.traceable is True and rep.traceable is True
+    assert rep.by_liminf.traceable is True and rep.by_ratio.traceable is True
+    assert rep.by_liminf.evidence == {"limit": 0.0}
+    assert rep.by_ratio.evidence == {"limit": 1.0, "lambda": 2.0}
     for p, q in ((1.002, -0.5), (1.004, 0.5)):
         # near-critical power-logs read their whole tail from the closed form,
         # and the window minima near |1 - p| do not make a hit
         mu = power_log(p=p, q=q)
+        twin = classify(window_twin(mu))
+        assert twin.by_liminf.traceable is not True and twin.by_ratio.traceable is not True
         rep = classify(mu)
         assert rep.by_liminf.traceable is not True and rep.by_ratio.traceable is not True
         assert rep.traceable is False
@@ -354,17 +377,21 @@ def test_failed_window_sample_is_computed_once(monkeypatch):
         return real_march(*args)
 
     monkeypatch.setattr(integral_module, "_march", counted_march)
-    rep = classify(_never_converging())
+    rep = classify(window_twin(_never_converging()))
     assert len(calls) == 1
     assert rep.by_liminf.traceable is None and rep.by_ratio.traceable is None
     assert rep.by_liminf.note == rep.by_ratio.note and "still grows" in rep.by_ratio.note
     # a power-log takes no panels at all, on either side of p = 1, nor does
     # a minimum whose p = 1 side lies below the other on all of t (the
-    # bench's pointwise_min family)
+    # bench's pointwise_min family), even on the window path of their twins;
+    # with the growth profile no family here takes a window sample at all
     calls.clear()
-    classify(power_log(p=1.002, q=-0.5))
-    classify(power_log(5.947, 0.9794, 3.543))
-    classify(pointwise_min(g_transform(power_log(1.0, 2.0, 0.5)), g_transform(power_log(1.0, 1.0, 0.75))))
+    bench_min = pointwise_min(g_transform(power_log(1.0, 2.0, 0.5)),
+                              g_transform(power_log(1.0, 1.0, 0.75)))
+    for fn in (power_log(p=1.002, q=-0.5), power_log(5.947, 0.9794, 3.543), bench_min):
+        classify(window_twin(fn))
+        classify(fn)
+    classify(_never_converging())
     assert calls == []
 
 
@@ -380,8 +407,12 @@ def test_panel_twin_classifies_like_its_closed_form():
     fams += [(rng.uniform(0.5, 2.0), 1.0 - 10 ** rng.uniform(-3.0, -1.5), rng.uniform(-0.9, 4.0))
              for _ in range(6)]
     for scale, p, q in fams:
-        want = classify(power_log(scale, p, q))
-        got = classify(panel_twin(power_log(scale, p, q)))
+        # with the growth profile both decide by the exact limit, untouched by S
+        exact, exact_twin = classify(power_log(scale, p, q)), classify(panel_twin(power_log(scale, p, q)))
+        for v, w in zip(exact_twin.verdicts, exact.verdicts):
+            assert (v.traceable, v.note, v.evidence) == (w.traceable, w.note, w.evidence)
+        want = classify(window_twin(power_log(scale, p, q)))
+        got = classify(window_twin(panel_twin(power_log(scale, p, q))))
         for v, w in zip(got.verdicts, want.verdicts):
             assert (v.traceable, v.note) == (w.traceable, w.note), (scale, p, q, v.criterion)
             if v.criterion != "indices":
@@ -404,13 +435,64 @@ def test_near_critical_power_logs_are_never_called_traceable():
     for i in range(40):
         p = 1.0 + (1 if i % 2 else -1) * 10 ** rng.uniform(-3.0, -1.5)
         q = rng.uniform(-0.9, 4.0)
-        rep = classify(power_log(scale=rng.uniform(0.5, 2.0), p=p, q=q))
+        mu = power_log(scale=rng.uniform(0.5, 2.0), p=p, q=q)
+        rep = classify(mu)
         assert all(v.traceable is not True for v in rep.verdicts), (p, q)
         assert rep.traceable is False, (p, q)
+        assert rep.by_liminf.evidence == {"limit": abs(1.0 - p)}
+        # the window path, on the twin without the growth profile
+        rep = classify(window_twin(mu))
+        assert all(v.traceable is not True for v in rep.verdicts), (p, q)
         if p > 1:
             # the last window [2000, 4000] sits within q / 2000 of the limit
             m0 = rep.by_liminf.evidence["window_minima"][0]
             assert abs(m0 - (p - 1)) <= abs(q) / 2000.0, (p, q)
+
+
+def test_large_q_power_logs_are_never_called_traceable():
+    # for q in [20, 400] log S is flat far past s = 4000, so the windows saw
+    # only pre-asymptotic data: on this scan the standalone criteria used to
+    # say True wrongly for 14 (liminf) and 19 (ratio) of the 59 families
+    rng = np.random.default_rng(11)
+    fams = []
+    while len(fams) < 59:
+        p, q = rng.uniform(0.2, 2.5), rng.uniform(20.0, 400.0)
+        if abs(p - 1.0) >= 0.05:
+            fams.append((p, q))
+    for p, q in fams:
+        mu = power_log(p=p, q=q)
+        assert traceable_by_liminf(mu).traceable is False, (p, q)
+        assert traceable_by_ratio(mu).traceable is False, (p, q)
+
+
+def test_a_nan_window_is_no_evidence():
+    # g of an exponential overflows in the far windows, where g + log S is
+    # inf - inf: those windows hold a NaN, which leaves the window criteria
+    # undecided; the exponential itself is decided by its exact limits
+    rep = classify(window_twin(exponential(1.0)))
+    for v in (rep.by_liminf, rep.by_ratio):
+        assert v.traceable is None and "NaN" in v.note, v.criterion
+        assert np.isnan(v.evidence["window_minima"][0])
+    rep = classify(exponential(1.0))
+    assert rep.by_liminf.evidence == {"limit": np.inf}
+    assert rep.by_ratio.evidence == {"limit": 0.0, "lambda": 2.0}
+    assert rep.traceable is False
+
+
+def test_minimum_with_a_step_side_reads_its_knots(staircases):
+    # the minimum equals the traceable vanisher wherever it is checked; its
+    # knots are the staircase's, so the index scan and the windows cut there
+    stair = dict(staircases)["vanisher"]
+    m = pointwise_min(stair, g_transform(power_log(p=1.5)))
+    assert m.knots_t == tuple(sorted(stair.knots_t))
+    assert [v.traceable for v in classify(g_inverse(m)).verdicts] == [True, True, True]
+    # a slope-1 step trusted to t = 199, above a p = 0.8 power-log from t = 2 on
+    bp = np.arange(1.0, 200.0)
+    m = pointwise_min(g_step(bp, np.concatenate([[0.0], bp])), g_transform(power_log(p=0.8)))
+    rep = classify(m)
+    assert [v.traceable for v in rep.verdicts] == [False, False, False]
+    # two sides without jumps give a minimum without knots
+    assert pointwise_min(g_transform(power_log(p=2)), g_transform(power_log(p=1))).knots_t is None
 
 
 def test_near_critical_staircases_get_no_traceable_consensus():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -22,6 +23,8 @@ from singtrace.ingest import (
     spectrum_from_csv,
 )
 from singtrace.integral import mu_mass
+
+from panel_twin import window_twin
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +293,24 @@ def test_cli_indices_reports_parameters(capsys):
     assert out["config"]["horizon"] == 30.0
 
 
-def test_cli_reports_carry_only_settable_values(capsys, tmp_path):
-    assert main(["classify", "--kind", "power_log", "--p", "1", "--lambda", "4",
-                 "--format", "json"]) == 0
+def test_cli_reports_carry_only_settable_values(capsys, tmp_path, monkeypatch):
+    argv = ["classify", "--kind", "power_log", "--p", "1", "--lambda", "4", "--format", "json"]
+    assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out["config"]) == {"ratio_lambda", "regular_tol", "index_config"}
     assert out["config"]["ratio_lambda"] == 4.0
     assert out["criteria"]["ratio"]["lambda"] == 4.0
-    # the fixed window threshold and horizon still show in the evidence
+    # the growth profile decides by the exact limit, with no window evidence
+    assert out["criteria"]["liminf"] == {"traceable": "true", "limit": 0.0}
+    assert out["criteria"]["ratio"] == {"traceable": "true", "limit": 1.0, "lambda": 4.0}
+    # the window path, on the twin without the growth profile: the fixed
+    # window threshold and horizon still show in the evidence
+    cli_module = importlib.import_module("singtrace.cli")
+    real = cli_module.classify
+    monkeypatch.setattr(cli_module, "classify", lambda fn, cfg: real(window_twin(fn), cfg))
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["criteria"]["ratio"]["lambda"] == 4.0
     for name in ("liminf", "ratio"):
         assert out["criteria"][name]["theta"] == 0.01
         assert out["criteria"][name]["horizon_log"] == 4000.0

@@ -846,6 +846,51 @@ def test_power_log_up_series_matches_mpmath_over_the_whole_range():
             assert np.shape(zero_d) == () and zero_d == fam.log_S_up(ss)[k]
 
 
+def test_power_log_past_the_anchor_cap_matches_mpmath():
+    # for q = 400 the up series' anchor lies past _ANCHOR_MAX, and log S is
+    # flat on all of s <= 3000: the mass near u = 1, where u^(-400) decays,
+    # outweighs the e^(u/2) growth until far past it.  mp_log_S's cut at
+    # v = 100 drops that mass, so the oracle integrates over w = log(x + e)
+    p, q = 0.5, 400.0
+    ss = np.array([1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0])
+    with mpmath.workdps(30):
+        mp_p, mp_q = mpmath.mpf(p), mpmath.mpf(q)
+        want = []
+        for s in ss.tolist():
+            u = mpmath.log(mpmath.exp(mpmath.mpf(s)) + mpmath.e)
+            cuts = [1] + [c for c in (1 + 1 / mp_q, 1 + 4 / mp_q, 1 + 16 / mp_q, 2, 8, 64, 512)
+                          if c < u] + [u]
+            mass = mpmath.quad(lambda w: mpmath.exp((1 - mp_p) * w - mp_q * mpmath.log(w)), cuts)
+            want.append(float(mpmath.log(mass)))
+    got = log_S_grid(power_log(p=p, q=q), ss)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (got, want)
+
+
+def test_log_S_grid_of_a_minimum_with_a_sampled_side_matches_mpmath():
+    # the minimum's knots are its sampled side's jumps, so the panels cut
+    # there instead of failing their error test across them
+    head = sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2], tail=PowerLog(p=1.5, q=0.5))
+    other = power_log(p=1.7, q=0.5)
+    mu = g_inverse(pointwise_min(g_transform(head), g_transform(other)))
+    ss = np.linspace(-1.0, 5.0, 50)
+    got = log_S_grid(mu, ss)
+
+    def mp_mu(x, fam):
+        if fam is not None:
+            return (x + mpmath.e) ** -mpmath.mpf(fam.p) * mpmath.log(x + mpmath.e) ** -mpmath.mpf(fam.q)
+        return [1, 0.8, 0.5, 0.3][sum(x >= c for c in (0.5, 1, 2))]
+
+    with mpmath.workdps(30):
+        for k in (0, 16, 33, 49):
+            x = mpmath.exp(mpmath.mpf(ss[k]))
+            cuts = [x] + [c for c in (0.5, 1, 2, 3, 10, 100, 1e4, 1e8) if c > x] + [mpmath.inf]
+            # the trace class (down) branch: the mass of max(mu_head, mu_other) past x
+            want = float(mpmath.log(mpmath.quad(
+                lambda y: max(mp_mu(y, head.family.tail if y >= 3 else None),
+                              mp_mu(y, other.family)), cuts)))
+            assert abs(got[k] - want) <= 1e-14 * abs(want), (ss[k], got[k], want)
+
+
 def test_power_log_closed_forms_reach_views_and_sampled_tails():
     for base in (power_log(1.3, 1.5, 0.5), power_log(0.8, 2.2, -1.2), power_log(1.2, 0.6, 1.5)):
         s0 = 10.0 if base.family.p > 1 else 200.0
