@@ -41,6 +41,7 @@ from .errors import (
 )
 
 E = math.e
+_LOG2 = math.log(2.0)
 
 
 def logsubexp(a, b):
@@ -48,13 +49,20 @@ def logsubexp(a, b):
 
     log(1 - e^d), d = b - a, is log(-expm1(d)) above d = -log 2 and
     log1p(-e^d) below it, which keeps its digits on both sides (Maechler
-    2012, "Accurately computing log(1 - exp(-|a|))").
+    2012, "Accurately computing log(1 - exp(-|a|))").  A pair of floats,
+    the scalar of root finding, takes numpy's scalar ufuncs: the same
+    values, without the array round trip.
     """
+    if isinstance(a, float) and isinstance(b, float):
+        if b >= a:
+            return np.float64(-np.inf)
+        d = b - a  # < 0, or nan
+        return a + (np.log(-np.expm1(d)) if d > -_LOG2 else np.log1p(-np.exp(d)))
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.minimum(b - a, 0.0)
-        out = a + np.where(d > -math.log(2.0), np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
+        out = a + np.where(d > -_LOG2, np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
         out = np.where(b >= a, -np.inf, out)
     return out
 
@@ -251,12 +259,16 @@ def _exp_power_anchor(q, z0):
 
 def knot_grid(lo, hi, points, knots, offsets):
     """points evenly spaced from lo to hi, plus k + d (capped at hi) for each
-    knot k and offset d: a step profile changes right at its jumps."""
+    knot k and offset d: a step profile changes right at its jumps.  The
+    extras are stably sorted into the grid, which merges two sorted runs,
+    and repeats are dropped: sorted and unique, as np.unique would give."""
     ss = np.linspace(lo, hi, points)
-    extra = [min(k + d, hi) for k in knots for d in offsets]
-    if extra:
-        ss = np.unique(np.concatenate([ss, np.array(extra)]))
-    return ss
+    if not len(knots):
+        return ss
+    ss = np.concatenate((ss, np.minimum(np.add.outer(knots, offsets), hi).ravel()))
+    ss.sort(kind="stable")
+    fresh = ss[1:] != ss[:-1]
+    return ss if fresh.all() else ss[np.concatenate(([True], fresh))]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +347,11 @@ class Family:
 
     def log_S_down(self, s):
         """Closed form of log S_down at s = log x, or None."""
+        return None
+
+    def log_S_down_ratio(self, s, log_lam):
+        """log S_down(s + log_lam) - log S_down(s), read directly where the closed
+        form's constant would swallow it, or None (take the difference)."""
         return None
 
     def g_inverse_point(self, y):
@@ -473,6 +490,17 @@ class PowerLog(Family):
             log_gamma = _log_upper_gamma(1 - self.q, (self.p - 1) * u)
             if log_gamma is not None:
                 return (c + (self.q - 1) * math.log(self.p - 1)) + log_gamma
+        return None
+
+    def log_S_down_ratio(self, s, log_lam):
+        """The two elementary down forms without their constant: -log(p - 1)
+        (q = 0) or -log(q - 1) (p = 1) grows toward the critical line, about 33
+        at 2^-47 from it, and a difference of two log S values there rounds
+        the ratio to 1."""
+        if self.q == 0 and self.p > 1:
+            return (1 - self.p) * float(log_e_plus(s + log_lam) - log_e_plus(s))
+        if self.p == 1 and self.q > 1:
+            return (1 - self.q) * (math.log(log_e_plus(s + log_lam)) - math.log(log_e_plus(s)))
         return None
 
     def g_inverse_point(self, y):

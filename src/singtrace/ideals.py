@@ -89,7 +89,9 @@ def _fit_slope(ts: np.ndarray, ys: np.ndarray) -> float:
     keep = np.isfinite(ys)
     if np.count_nonzero(keep) < 2:
         return math.inf if np.all(ys == math.inf) else math.nan
-    return float(np.polyfit(ts[keep], ys[keep], 1)[0])
+    t, y = ts[keep], ys[keep]
+    t = t - t.mean()
+    return float(t @ (y - y.mean()) / (t @ t))
 
 
 def _gap_trend_stable(gaps: np.ndarray) -> bool:
@@ -149,13 +151,13 @@ def _decide(ga, gb, kernel) -> IdealDecision:
         note = "finite rank base" if kernel else "finite rank base: its ideal is the finite rank ideal"
         return IdealDecision(NON_MEMBER, "exact", note=note)
 
-    ts, T = _tail_grid(ga, gb)
     pa, pb = ga.profile, gb.profile
-    if pa is not None and pb is not None:
-        order = _profile_order(pa, pb)
-        if order == "lt":
-            return _refuted("exact", pa.slope, pb.slope,
-                            detail="no shift repairs a growth rate deficit")
+    order = None if pa is None or pb is None else _profile_order(pa, pb)
+    if order == "lt":
+        return _refuted("exact", pa.slope, pb.slope,
+                        detail="no shift repairs a growth rate deficit")
+    ts, T = _tail_grid(ga, gb)
+    if order is not None:
         return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T)
     ya, yb = ga.eval(ts), gb.eval(ts)
     sa, sb = _fit_slope(ts, ya), _fit_slope(ts, yb)

@@ -16,7 +16,10 @@ Every power-log has one: elementary for q = 0 and p = 1, an incomplete
 gamma for p > 1, and for p < 1 a series of nonnegative terms that meets
 an asymptotic antiderivative at its anchor.  A pointwise minimum of two
 power-logs under one t shift has its lower side's, where that side is
-certified to lie below the other for every t.  For other minima, and
+certified to lie below the other for every t.  s_ratio of the two
+elementary down forms reads the log ratio directly (log_S_down_ratio):
+near p = 1, or q = 1 at p = 1, log S is near 33 and a difference of two
+such values rounds it away.  For other minima, and
 where a power-log's fraction fails or its anchor overflows, the
 fallback is QUADPACK's qk21 pair on e^(s - g(s)) over panels in
 s = log x, each shifted by its largest exponent.  A panel keeps its 21-point Kronrod sum
@@ -258,11 +261,14 @@ def s_ratio(mu: EigenvalueFunction, lam: float, x: float) -> float:
         raise ValueError("lam must exceed 1")
     if x <= 0:
         raise ValueError("x must be positive")
-    s = math.log(x)
-    den, num = log_S_grid(mu, np.array([s, s + math.log(lam)])).tolist()
+    s, log_lam = math.log(x), math.log(lam)
+    den, num = log_S_grid(mu, np.array([s, s + log_lam])).tolist()
     if den == -math.inf:
         raise SupportExceeded(f"S vanishes at x = {x}")
-    return math.exp(num - den)
+    # the two elementary down forms give the log ratio directly; the view's
+    # shift scales both S values alike, so only its a moves s
+    direct = mu.family.log_S_down_ratio(s - mu.a, log_lam)
+    return math.exp(num - den if direct is None else direct)
 
 
 def mu_over_S(mu: EigenvalueFunction, x: float) -> float:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,12 @@ class StaircaseConstruction:
         return len(self.breakpoints)
 
     def g(self) -> GFunction:
-        """The staircase as a G-side step profile, integrability attached."""
+        """The staircase as a G-side step profile, integrability attached; one
+        view per construction, so its knots are computed once."""
+        return self._g
+
+    @cached_property
+    def _g(self) -> GFunction:
         bps = self.breakpoints
         values = (self.step_values[0],) + self.step_values
         if self.variant == VANISHER:
@@ -187,14 +193,15 @@ def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
     phi = math.sqrt if variant == VANISHER else (lambda y: y * y)
     phi_inv = (lambda v: v * v) if variant == VANISHER else math.sqrt
 
+    horizon = g_src.horizon_t
     ts = [_START_T]
     gs = [gA(_START_T)]  # gA at each breakpoint, reused from the solver where it has it
     for n in range(1, n_steps):
         level = phi_inv(phi(gs[-1]) + (n + 1))  # g must exceed this level
-        t_next, g_next = _solve_exceed(gA, level, ts[-1] + (n + 1), g_src.horizon_t)
+        t_next, g_next = _solve_exceed(gA, level, ts[-1] + (n + 1), horizon)
         if not math.isfinite(t_next):
             raise ConstructionRange(f"breakpoint {n + 1} left the float range")
-        if g_src.horizon_t is not None and t_next > g_src.horizon_t:
+        if horizon is not None and t_next > horizon:
             raise Bounded("construction ran past the trusted horizon of the source")
         ts.append(float(t_next))
         gs.append(gA(t_next) if g_next is None else g_next)

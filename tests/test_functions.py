@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -30,6 +31,7 @@ from singtrace.functions import (
     g_inverse,
     g_step,
     g_transform,
+    knot_grid,
     log_e_plus,
     logsubexp,
     pointwise_min,
@@ -561,6 +563,68 @@ def test_logsubexp_keeps_its_digits_near_equal_arguments():
         # the sum a + log(1 - e^d) cancels near d = log(2/3): its terms set the scale
         assert abs(g - w) <= 2 * np.spacing(abs(a) + abs(w)), (g, w)
     assert logsubexp(a, a) == -np.inf and logsubexp(a, -np.inf) == a
+
+
+def logsubexp_array_formula(a, b):
+    """The elementwise formula on 0-d arrays, as every input took it before
+    the scalar branch."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.minimum(b - a, 0.0)
+        out = a + np.where(d > -math.log(2.0), np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
+        return np.where(b >= a, -np.inf, out)
+
+
+def test_scalar_logsubexp_matches_the_array_formula():
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-60.0, 60.0, 4000)
+    b = a - np.exp(rng.uniform(-40.0, 7.0, 4000))  # both sides of d = -log 2
+    inf, nan = math.inf, math.nan
+    special = [(1.0, 1.0), (1.0, 2.0), (0.0, -0.0), (inf, 1.0), (inf, inf), (-inf, -inf),
+               (1.0, -inf), (inf, -inf), (-inf, 1.0), (nan, 1.0), (1.0, nan), (nan, nan),
+               (1.0, math.nextafter(1.0, 0.0)), (5e-324, 0.0), (-math.log(2.0), -2 * math.log(2.0))]
+    pairs = list(zip(a.tolist(), b.tolist())) + special
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in pairs + [(np.float64(x), np.float64(y)) for x, y in special]:
+            got, want = logsubexp(x, y), logsubexp_array_formula(x, y)
+            assert type(got) is np.float64
+            # a NaN matches a NaN; which NaN bits come out is not part of the contract
+            assert got == want or (math.isnan(got) and math.isnan(want)), (x, y, got, want)
+            assert math.isnan(got) or np.float64(got).tobytes() == want.tobytes()
+
+
+def knot_grid_unique_formula(lo, hi, points, knots, offsets):
+    ss = np.linspace(lo, hi, points)
+    extra = [min(k + d, hi) for k in knots for d in offsets]
+    if extra:
+        ss = np.unique(np.concatenate([ss, np.array(extra)]))
+    return ss
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 1e-9), (0.0, 1.0), (0.0, 1e-9, 1.0)])
+def test_knot_grid_matches_the_unique_formula(offsets):
+    rng = np.random.default_rng(29)
+    for lo, hi, points in [(10.0, 40.0, 800), (20.0, 40.0, 1200), (1.0, 821.0, 4000),
+                           (-3.0, 2.0, 7), (5.0, 5.0, 4)]:
+        grid = np.linspace(lo, hi, points)
+        inside = rng.uniform(lo, hi, 5).tolist()
+        cases = [
+            [],
+            inside[:1],
+            sorted(inside),
+            inside[::-1],  # unsorted
+            [lo - 3.0, lo - 1e-9, hi + 1e-9, hi + 5.0],  # outside [lo, hi]
+            [inside[0], inside[0], inside[1], inside[0]],  # repeated knots
+            [float(grid[1]), float(grid[points // 2]), float(grid[-2])],  # on grid points
+            [lo, hi],
+            [hi - 1e-9, hi - 0.5, lo + 1e-9],  # extras that land on other extras or on hi
+            sorted(rng.uniform(lo - 2.0, hi + 2.0, 40).tolist()),
+        ]
+        for knots in cases:
+            got = knot_grid(lo, hi, points, knots, offsets)
+            want = knot_grid_unique_formula(lo, hi, points, knots, offsets)
+            assert got.tobytes() == want.tobytes(), (lo, hi, points, knots)
 
 
 def test_log_e_plus_is_logaddexp_bit_for_bit():

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from singtrace import ideals
 from singtrace.errors import NotRegular
 from singtrace.functions import (
     GFunction,
@@ -21,11 +22,14 @@ from singtrace.ideals import (
     MEMBER,
     NON_MEMBER,
     UNDECIDED,
+    _fit_slope,
+    _tail_grid,
     face_axioms_check,
     in_kernel,
     in_principal_ideal,
     regular_domination,
 )
+from singtrace.staircase import construct_dominator, construct_vanisher
 
 
 def g_of(p=1.0, q=0.0, scale=1.0):
@@ -258,6 +262,61 @@ def test_well_separated_horizon_pairs_keep_their_verdicts():
                 wrong.append((decide.__name__, pa, qa, pb, qb, verdict))
     assert wrong == []
     assert len(undecided) <= 3, undecided
+
+
+def test_fit_slope_matches_polyfit():
+    # np.polyfit stays the oracle of the closed-form least-squares slope
+    rng = random.Random(19)
+    line = g_transform(pure_power(p=1))
+    checked = 0
+    for _ in range(40):
+        pa, pb = rng.uniform(0.2, 2.5), rng.uniform(0.2, 2.5)
+        a = sampled_power_log(pa, rng.uniform(-0.2, 2.0), rng.uniform(0.5, 2.0))
+        b = power_log(scale=rng.uniform(0.5, 2.0), p=pb, q=rng.uniform(-0.2, 2.0))
+        sides = [g_transform(a), g_transform(b)]
+        ts, _ = _tail_grid(*sides)
+        for g in sides:
+            ys = g.eval(ts)
+            want = float(np.polyfit(ts, ys, 1)[0])
+            assert abs(_fit_slope(ts, ys) - want) <= 1e-14 * abs(want)
+            checked += 1
+    # step profiles: a staircase's knots are grid points and its fitted slope is small
+    for s in (construct_vanisher(line, 40), construct_dominator(line, 12)):
+        ts, _ = _tail_grid(line, s.g())
+        ys = s.g().eval(ts)
+        want = float(np.polyfit(ts, ys, 1)[0])
+        assert abs(_fit_slope(ts, ys) - want) <= 1e-14 * abs(want)
+    # a slope from the finite values only, and the two exits
+    ts = np.linspace(20.0, 40.0, 9)
+    ys = 3.0 * ts + 1.0
+    ys[[0, 4]] = [math.inf, math.nan]
+    keep = np.isfinite(ys)
+    want = float(np.polyfit(ts[keep], ys[keep], 1)[0])
+    assert abs(_fit_slope(ts, ys) - want) <= 1e-14 * abs(want)
+    assert _fit_slope(ts, np.full(9, math.inf)) == math.inf
+    assert math.isnan(_fit_slope(ts, np.where(ts < 21.0, 1.0, math.inf)))  # one finite value
+    assert math.isnan(_fit_slope(ts, np.full(9, math.nan)))
+    assert checked == 80
+
+
+def test_exact_growth_refutation_builds_no_tail_grid(monkeypatch):
+    # the "lt" order refutes from the profiles alone; every other exact
+    # decision still reads the grid
+    want = {
+        in_principal_ideal: repr(in_principal_ideal(power_log(p=1), power_log(p=2))),
+        in_kernel: repr(in_kernel(power_log(p=1), power_log(p=2))),
+    }
+
+    def no_grid(*args):
+        raise AssertionError("tail grid built")
+
+    monkeypatch.setattr(ideals, "_tail_grid", no_grid)
+    for decide, text in want.items():
+        dec = decide(power_log(p=1), power_log(p=2))
+        assert dec.verdict == NON_MEMBER and repr(dec) == text
+        assert dec.refutation.detail == "no shift repairs a growth rate deficit"
+    with pytest.raises(AssertionError, match="tail grid built"):
+        in_principal_ideal(power_log(p=2), power_log(p=1))
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,32 @@ def test_proposition_chains_spot():
     assert down_chain_holds(power_log(p=1, q=2), xs)
 
 
+@pytest.mark.parametrize("branch", ["p", "q"])
+def test_s_ratio_keeps_its_digits_next_to_the_critical_line(branch):
+    # p = 1 + 2^-k (q = 0) and q = 1 + 2^-k (p = 1): log S is near 33 there,
+    # and a difference of two log S values rounded the ratio to 1
+    xs = np.exp(np.linspace(0, np.log(1e5), 40)).tolist()  # the spot chain grid
+    ulp, checked = 2.0 ** -52, 0
+    for k in range(40, 53):
+        d = 2.0 ** -k
+        fam = power_log(p=1 + d) if branch == "p" else power_log(p=1, q=1 + d)
+        for lam_d, mu in ((1.0, fam), (3.0, dilate(fam, 3.0))):  # a view's shift counts
+            for x in xs:
+                r2 = s_ratio(mu, 2.0, x)
+                with mpmath.workdps(40):
+                    X, e = mpmath.mpf(x) * lam_d, mpmath.e
+                    base = (2 * X + e) / (X + e) if branch == "p" else \
+                        mpmath.log(2 * X + e) / mpmath.log(X + e)
+                    want = base ** -mpmath.mpf(d)
+                    assert abs(r2 - want) <= ulp, (k, lam_d, x, r2)
+                    resolved = 1 - want >= mpmath.mpf(2) ** -53
+                if resolved:
+                    assert 0.0 < 1.0 - r2 <= mu_over_S(mu, x) + 1e-12, (k, lam_d, x, r2)
+                    checked += 1
+    assert checked > 500
+    assert s_ratio(power_log(p=1 + 2.0 ** -47), 2.0, 10.0) < 1.0
+
+
 def test_monotone_branches_and_tail_bound():
     xs = np.exp(np.linspace(0, np.log(1e6), 80))
     up = np.array([S(power_log(p=1), x) for x in xs])

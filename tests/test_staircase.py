@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from singtrace import staircase
 from singtrace.errors import Bounded, FiniteRank, TooFewSteps, VerificationFailed
 from singtrace.functions import (
     PowerLog,
@@ -214,6 +215,29 @@ def test_dominator_end_to_end_exclusion():
     dec = in_principal_ideal(line_g(), s.g())
     assert dec.verdict == NON_MEMBER
     assert dec.refutation is not None
+
+
+def test_one_staircase_view_per_construction(monkeypatch):
+    # verification, the caller and the ideal decision share one view, so
+    # its knots are found once
+    built = []
+    monkeypatch.setattr(staircase, "g_step", lambda *a, **k: built.append(1) or g_step(*a, **k))
+    for variant, construct, decide, want in [
+        ("vanisher", construct_vanisher, in_kernel, MEMBER),
+        ("dominator", construct_dominator, in_principal_ideal, NON_MEMBER),
+    ]:
+        s = construct(line_g(), 40)
+        verify_construction(s)
+        stair = s.g()
+        assert decide(line_g(), stair).verdict == want
+        assert s.g() is stair and stair.knots_t is s.g().knots_t
+    assert len(built) == 2
+    # a construction still compares, hashes and copies by its fields
+    s = construct_vanisher(line_g(), 12)
+    twin = construct_vanisher(line_g(), 12)
+    s.g()
+    assert s == twin and hash(s) == hash(twin)
+    assert dataclasses.replace(s).g() is not s.g()
 
 
 def test_vanisher_envelope_pointwise():
