@@ -26,7 +26,6 @@ is the shift (a, b) = (-log lam, -log lam).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -355,8 +354,9 @@ class Family:
         return None
 
     def g_inverse_point(self, y):
-        """First t with g(t) > y where an analytic inverse exists, else None."""
-        return None
+        """inf{t : g(t) > y}: -inf when g exceeds y everywhere, +inf when the
+        crossing lies past the floats, None when g never exceeds y."""
+        raise NotImplementedError(f"{type(self).__name__} has no inverse of g")
 
 
 @dataclass(frozen=True)
@@ -511,7 +511,7 @@ class PowerLog(Family):
         if q == 0:
             u = c / p
         elif c <= p:
-            return None
+            return -math.inf
         else:
             w = c / q if p == 0 else math.log(2.0 * c / p)
             for _ in range(64 if p > 0 else 0):
@@ -526,7 +526,7 @@ class PowerLog(Family):
             for _ in range(2):
                 u -= (p * u + q * math.log(u) - c) / (p + q / u)
         if u <= 1.0:
-            return None
+            return -math.inf
         return float(logsubexp(u, 1.0))
 
 
@@ -562,8 +562,9 @@ class Exponential(Family):
 
     def g_inverse_point(self, y):
         if y <= 0:
-            return None
-        return math.log(y / self.alpha)
+            return -math.inf
+        r = y / self.alpha
+        return math.log(r) if r > 0 else math.log(y) - math.log(self.alpha)  # r underflows
 
 
 @dataclass(frozen=True)
@@ -635,8 +636,8 @@ class PurePower(Family):
         return np.where(s >= sc, tail_at, logaddexp(head, tail_at))
 
     def g_inverse_point(self, y):
-        if y <= self._floor:
-            return None
+        if y < self._floor:
+            return -math.inf
         return (y + math.log(self.scale)) / self.p
 
 
@@ -730,6 +731,14 @@ class _StepFamily(Family):
         xb, vals = self._x_arrays
         idx = np.searchsorted(xb, np.asarray(x, dtype=float), side="right") - 1
         return vals[np.clip(idx, 0, len(vals) - 1)]
+
+    def g_inverse_point(self, y):
+        """The start of the first step above y: gv[j] holds from sb[j-1]."""
+        sb, gv, _ = self._step_arrays
+        j = int(np.searchsorted(gv, y, side="right"))
+        if j == len(gv):
+            return None
+        return float(sb[j - 1]) if j else -math.inf
 
     def log_S_up(self, s):
         return self._tables.log_up(s)
@@ -871,13 +880,6 @@ class GStep(_StepFamily):
             s = np.log(x)
             return np.exp(-self.g(s))
 
-    def g_inverse_point(self, y):
-        """First t with g(t) > y, or None when the staircase never exceeds y."""
-        idx = bisect_right(list(self.values), y)
-        if idx >= len(self.values):
-            return None
-        return ((-math.inf,) + self.breakpoints)[idx]  # values[j] holds from breakpoints[j-1]
-
 
 @dataclass(frozen=True)
 class SampledMu(_StepFamily):
@@ -904,6 +906,8 @@ class SampledMu(_StepFamily):
             raise NegativeValue("sample values must be nonnegative")
         if any(b > a for a, b in zip(v, v[1:])):
             raise ValueError("sample values must be non-increasing")
+        if self.tail is not None and not isinstance(self.tail, Family):
+            raise TypeError(f"a sampled tail must be a Family, got {type(self.tail)!r}")
         if self.tail is None and v[0] == v[-1] > 0:
             raise NotInfinitesimal("constant samples give a non-vanishing profile")
         object.__setattr__(self, "grid", g)
@@ -969,6 +973,14 @@ class SampledMu(_StepFamily):
             return out
         t = np.asarray(t, dtype=float)
         return np.where(t >= self._step_arrays[2], self.tail.g(t), out)
+
+    def g_inverse_point(self, y):
+        t = super().g_inverse_point(y)
+        end = float(self._step_arrays[2])
+        if self.tail is None or (t is not None and t < end):
+            return t
+        t = self.tail.g_inverse_point(y)
+        return None if t is None else max(end, t)
 
     def log_S_up(self, s):
         s = np.asarray(s, dtype=float)
@@ -1096,6 +1108,11 @@ class MinOf(Family):
     def log_S_down(self, s):
         return None if self._lower is None else _closed_log_S(self._lower, s, False)
 
+    def g_inverse_point(self, y):
+        # both sides are non-decreasing, so min > y from where both are
+        ts = (self.left.inverse_point(y), self.right.inverse_point(y))
+        return None if None in ts else max(ts)
+
 
 # ---------------------------------------------------------------------------
 # public wrappers
@@ -1173,10 +1190,24 @@ class GFunction(_View):
         return None if p is None else p.shifted(self.a, self.b)
 
     def inverse_point(self, y):
-        """First t with g(t) > y (analytic families only)."""
-        t = self.family.g_inverse_point(y - self.b)
-        knots = self.family.knots_t() or ()
-        if t in knots:  # t + a can round back onto the old step
+        """inf{t : g(t) > y}, on the family's g_inverse_point contract.
+
+        y - b rounds, so where b != 0 an answer at a jump or past the last
+        one is settled on the view's own sums b + value; t + a can round
+        back onto the old step, so a jump maps to the view's knot."""
+        f, b, knots = self.family, self.b, self.family.knots_t() or ()
+        t = f.g_inverse_point(y - b)
+        if b and knots:
+            while t in knots and b + (v := float(f.g(t))) <= y:  # this jump falls short of y
+                t, last = f.g_inverse_point(v), t
+                if t == last:  # g is continuous past it
+                    break
+            while t is None or t in knots:  # or the jump before already exceeds y
+                v = float(f.g(math.inf if t is None else math.nextafter(t, -math.inf)))
+                if b + v <= y:
+                    break
+                t = f.g_inverse_point(math.nextafter(v, -math.inf))
+        if t in knots:
             return self.knots_t[knots.index(t)]
         return None if t is None else t + self.a
 

@@ -24,15 +24,12 @@ its inputs.  Sources whose g may dip below 1 are raised by a vertical
 offset first (harmless: ideal membership is shift invariant), since the
 square root step heights assume g_A >= 1.
 
-The solve starts at the margin point t_n + n + 1.  An analytic inverse
-(lines, every power-log, exponentials, g_step) answers at 1.05 scalar g
-evaluations per breakpoint.  Otherwise a doubling ladder from there is
-rated in one vectorized g evaluation: if its first rung exceeds the
-level the margin binds (0.05 per breakpoint for dominators of slope
-above 1/2), else ITP steps (interpolate, truncate, project; Oliveira &
-Takahashi, ACM TOMS 47(1), 2021) shrink the first bracket to 1e-9, at
-most one step beyond bisection: 14 per vanisher breakpoint of
-power_log(1.3, 1, 1.1) without its inverse.
+Every family inverts its own g exactly (GFunction.inverse_point): a
+closed form for lines, power-logs and exponentials, the start of the
+first step above the level for step profiles, the later of the two
+sides' answers for a minimum.  The breakpoint is that inverse or the
+margin point t_n + n + 1, whichever is later, at 1.05 scalar g
+evaluations per breakpoint.
 """
 
 from __future__ import annotations
@@ -52,13 +49,6 @@ VANISHER = "vanisher"
 DOMINATOR = "dominator"
 
 _START_T = 1.0  # the first breakpoint
-_BRACKET_MAX = 1e12
-_BISECT_TOL = 1e-9
-# ITP parameters: truncation kappa1 * width^kappa2 with kappa1 scaled by
-# the first bracket's width, and at most n0 steps beyond bisection
-_ITP_KAPPA1 = 0.2
-_ITP_KAPPA2 = 2.0
-_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -117,68 +107,6 @@ def _tail_integrability(variant, source: GFunction):
     return p.slope == math.inf or (variant == DOMINATOR and p.slope > 0)
 
 
-def _solve_exceed(g: GFunction, level: float, t_lo: float, horizon: float | None):
-    """inf{ t >= t_lo : g(t) > level } as (t, g(t)); g(t) is None when not evaluated.
-
-    An analytic inverse answers directly.  Otherwise the ladder t_lo + 0,
-    1, 3, 7, ... up to the horizon (or 1e12) is rated in one g.eval: g(t_lo)
-    above the level is the answer, else ITP shrinks the first bracket to
-    1e-9, keeping g(lo) <= level < g(hi) and returning hi.  Where floats
-    are coarser than 1e-9 it stops at adjacent floats.  Raises Bounded when
-    no ladder point exceeds the level.
-    """
-    t = g.inverse_point(level)
-    if t is not None:
-        return max(t, t_lo), None
-    cap = horizon if horizon is not None else _BRACKET_MAX
-    ladder = [t_lo]
-    width = 1.0
-    while ladder[-1] + width <= cap:
-        ladder.append(ladder[-1] + width)
-        width *= 2.0
-    with np.errstate(over="ignore"):  # far rungs may overflow to inf, which still exceeds
-        vals = g.eval(ladder).tolist()
-    if vals[0] > level:
-        return t_lo, vals[0]
-    k = next((i for i in range(1, len(ladder)) if not vals[i] <= level), None)
-    if k is None:
-        raise Bounded(f"g never exceeds {level:.6g} on the trusted range (up to {cap:.3g})")
-    return _itp(g, level, ladder[k - 1], ladder[k], vals[k - 1], vals[k])
-
-
-def _itp(g, level, lo, hi, g_lo, g_hi):
-    """ITP on the bracket g(lo) <= level < g(hi), down to hi - lo <= 1e-9."""
-    eps = 0.5 * _BISECT_TOL
-    width = hi - lo
-    if width <= _BISECT_TOL:
-        return hi, g_hi
-    n_max = math.ceil(math.log2(width / _BISECT_TOL)) + _ITP_N0
-    kappa1 = _ITP_KAPPA1 / width
-    j = 0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        r = eps * 2.0 ** (n_max - j) - 0.5 * (hi - lo)
-        delta = kappa1 * (hi - lo) ** _ITP_KAPPA2
-        x = lo + (hi - lo) * (level - g_lo) / (g_hi - g_lo)  # regula falsi
-        if not lo < x < hi:  # g(lo) == level, an infinite g(hi), or a NaN
-            x = mid
-        sigma = 1.0 if mid >= x else -1.0
-        x = x + sigma * delta if delta <= abs(mid - x) else mid
-        if abs(x - mid) > r:
-            x = mid - sigma * r
-        if not lo < x < hi:
-            x = mid
-            if not lo < x < hi:  # adjacent floats: hi is the answer
-                break
-        y = g(x)
-        if y > level:
-            hi, g_hi = x, y
-        else:
-            lo, g_lo = x, y
-        j += 1
-    return hi, g_hi
-
-
 def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
     g_src = g_transform(source)
     if g_src.finite_rank:
@@ -195,16 +123,19 @@ def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
 
     horizon = g_src.horizon_t
     ts = [_START_T]
-    gs = [gA(_START_T)]  # gA at each breakpoint, reused from the solver where it has it
+    gs = [gA(_START_T)]  # gA at each breakpoint
     for n in range(1, n_steps):
         level = phi_inv(phi(gs[-1]) + (n + 1))  # g must exceed this level
-        t_next, g_next = _solve_exceed(gA, level, ts[-1] + (n + 1), horizon)
+        t_next = gA.inverse_point(level)
+        if t_next is None:
+            raise Bounded(f"g never exceeds {level:.6g} on the trusted range (up to {horizon:.3g})")
+        t_next = max(t_next, ts[-1] + (n + 1))
         if not math.isfinite(t_next):
             raise ConstructionRange(f"breakpoint {n + 1} left the float range")
         if horizon is not None and t_next > horizon:
             raise Bounded("construction ran past the trusted horizon of the source")
         ts.append(float(t_next))
-        gs.append(gA(t_next) if g_next is None else g_next)
+        gs.append(gA(t_next))
 
     if variant == VANISHER:
         values = tuple(math.sqrt(v) for v in gs)
@@ -220,7 +151,7 @@ def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
         source=g_src,
         normalization_offset=offset,
         start_t=_START_T,
-        rule="greedy minimal breakpoints, margin n+1, analytic inverse or ITP to 1e-9",
+        rule="greedy minimal breakpoints, margin n+1, exact inverse of g",
     )
 
 

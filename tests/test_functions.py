@@ -417,6 +417,13 @@ def test_sampled_rejects_constant_samples_without_a_tail():
     assert not sampled([1.0, 2.0], [1.0, 1.0], tail=PowerLog(p=2.0)).finite_rank
 
 
+@pytest.mark.parametrize("tail", [power_log(p=1.5, q=0.5), "x"])
+def test_sampled_rejects_a_tail_that_is_not_a_family(tail):
+    # a profile view or a string has no g_inverse_point or growth profile of its own
+    with pytest.raises(TypeError, match="must be a Family"):
+        sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2], tail=tail)
+
+
 def test_step_mu_trims_zero_tail():
     fam = StepMu((0.0, 1.0, 2.0), (3.0, 0.0))
     assert fam.values == (3.0,)

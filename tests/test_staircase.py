@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from singtrace.errors import Bounded, FiniteRank, TooFewSteps, VerificationFaile
 from singtrace.functions import (
     PowerLog,
     _View,
+    dilate,
     exponential,
     g_step,
     g_transform,
-    log_e_plus,
     logsubexp,
     pointwise_min,
     power_log,
@@ -24,14 +25,10 @@ from singtrace.functions import (
 from singtrace.ideals import MEMBER, NON_MEMBER, in_kernel, in_principal_ideal
 from singtrace.indices import matuszewska
 from singtrace.staircase import (
-    _itp,
-    _solve_exceed,
     construct_dominator,
     construct_vanisher,
     verify_construction,
 )
-
-from panel_twin import panel_twin
 
 
 def line_g():
@@ -265,22 +262,22 @@ def test_powerlog_source_constructs_and_verifies():
 
 
 # ---------------------------------------------------------------------------
-# the numeric solver, on sources without an analytic inverse
+# breakpoints that the inverse, not the margin, sets
 
 
-def twin_g(scale, p, q):
-    """g of power_log(scale, p, q) with no analytic inverse, so ITP runs."""
-    return g_transform(panel_twin(power_log(scale, p, q)))
+def pl_g(scale, p, q):
+    return g_transform(power_log(scale, p, q))
 
 
-NUMERIC_SOURCES = {
-    "power_log_q": lambda: twin_g(1.3, 1.0, 1.1),
-    "power_log_slow": lambda: twin_g(1.0, 0.05, 0.5),
-    "shift": lambda: shift(twin_g(0.8, 1.0, -0.4), 0.7, -0.3),
-    "pointwise_min": lambda: pointwise_min(g_transform(power_log(1.0, 1.2, 0.5)),
-                                           g_transform(power_log(2.0, 1.1, 1.5))),
+INVERSE_SOURCES = {
+    "power_log_q": lambda: pl_g(1.3, 1.0, 1.1),
+    "power_log_slow": lambda: pl_g(1.0, 0.05, 0.5),
+    "shift": lambda: shift(pl_g(0.8, 1.0, -0.4), 0.7, -0.3),
+    "pointwise_min": lambda: pointwise_min(pl_g(1.0, 1.2, 0.5), pl_g(2.0, 1.1, 1.5)),
     "sampled_tail": lambda: g_transform(sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2],
                                                 tail=PowerLog(p=1.5, q=0.5))),
+    # g = k^2 on [k, k + 1): sqrt(g) rises like t, as for a line
+    "g_step": lambda: g_step(np.arange(1.0, 2001.0), np.arange(2001.0) ** 2),
 }
 
 
@@ -290,12 +287,23 @@ def _phi(variant):
     return (lambda y: y * y), math.sqrt
 
 
-@pytest.mark.parametrize("name", sorted(NUMERIC_SOURCES))
+def _assert_infimum(g, y, t, dy=0.0):
+    """t = inf{g > y}: exactly where g jumps at t, else to a rounding
+    bracket, since a continuous g equals y at the infimum; dy widens it in y."""
+    before = g(float(np.nextafter(t, -math.inf)))
+    if t in (g.knots_t or ()) and g(t) - before > 4.0 * math.ulp(before):
+        # y lies in the jump; g exceeds it from t on, or, where a minimum's
+        # continuous side takes over at the top of the jump, right after t
+        assert before <= y < g(t) or before <= y == g(t) < g(t + 1e-9), (y, t)
+    else:
+        d = max(1e-9, 2.0 * math.ulp(t))
+        assert g(t - d) - dy <= y <= g(min(t + d, sys.float_info.max)) + dy, (y, t)
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_SOURCES))
 @pytest.mark.parametrize("build", [construct_vanisher, construct_dominator])
 def test_solver_settles_each_breakpoint_to_the_infimum(name, build):
-    src = NUMERIC_SOURCES[name]()
-    assert src.inverse_point(50.0) is None
-    s = build(src, n_steps=40)
+    s = build(INVERSE_SOURCES[name](), n_steps=40)
     gA = s.normalized_source()
     phi, phi_inv = _phi(s.variant)
     bps = s.breakpoints
@@ -303,48 +311,16 @@ def test_solver_settles_each_breakpoint_to_the_infimum(name, build):
     for n in range(1, len(bps)):
         level = phi_inv(phi(gA(bps[n - 1])) + (n + 1))
         t = bps[n]
-        assert gA(t) > level
-        if t > bps[n - 1] + (n + 1):  # the solver set it, not the margin
+        if t > bps[n - 1] + (n + 1):  # the inverse set it, not the margin
             settled += 1
-            assert level >= gA(t - 1e-9)
+            _assert_infimum(gA, level, t)
+        else:
+            assert gA(t) > level
     # dominator levels sit within (n+1)/(2 g) of g(t_n), so on a source
     # with slope above 1/2 the margin n+1 sets every breakpoint
     if s.variant == "vanisher" or name == "power_log_slow":
         assert settled >= 10
     verify_construction(s)
-
-
-def test_solver_work_per_breakpoint(monkeypatch):
-    calls = []
-    scalar = _View.__call__
-    monkeypatch.setattr(_View, "__call__", lambda self, t: calls.append(t) or scalar(self, t))
-    construct_vanisher(twin_g(1.3, 1.0, 1.1), n_steps=40)
-    assert len(calls) / 39 <= 20  # bisection needed about 58
-
-
-def test_itp_takes_at_most_one_step_beyond_bisection():
-    # a jump defeats regula falsi; the projection keeps ITP within n0 = 1
-    # step of the 30 bisection steps from width 1 to 1e-9
-    jump = 0.3 + math.pi * 1e-3
-    calls = []
-
-    def g(t):
-        calls.append(t)
-        return 0.0 if t < jump else 1e6
-
-    t, g_t = _itp(g, 0.5, 0.0, 1.0, 0.0, 1e6)
-    assert jump <= t <= jump + 1e-9 and g_t == 1e6
-    assert len(calls) <= 31
-
-
-def test_solver_stops_at_adjacent_floats():
-    # breakpoints near 1e7, where one ulp (1.9e-9) exceeds the 1e-9 tolerance
-    s = construct_vanisher(twin_g(1.0, 0.05, 0.5), n_steps=40)
-    gA = s.normalized_source()
-    t_prev, t = s.breakpoints[-2:]
-    assert t > 1e7 and t > t_prev + 40
-    level = (math.sqrt(gA(t_prev)) + 40) ** 2
-    assert gA(t) > level >= gA(float(np.nextafter(t, 0.0)))
 
 
 def test_solver_bounded_past_the_horizon():
@@ -355,7 +331,7 @@ def test_solver_bounded_past_the_horizon():
 
 
 # ---------------------------------------------------------------------------
-# the power-log inverse, and the solver work it saves
+# the exact inverse of every family, and the solver work it saves
 
 
 def _inverse_grid():
@@ -380,7 +356,7 @@ def test_power_log_inverse_brackets_the_crossing():
         fam = PowerLog(scale, p, q)
         t = fam.g_inverse_point(y)
         if y <= p - math.log(scale):  # g exceeds y everywhere
-            assert t is None and fam.g(-50.0) > y
+            assert t == -math.inf and fam.g(-50.0) > y
             continue
         if t == math.inf:  # p = 0: the crossing lies past the floats
             assert p == 0 and fam.g(np.finfo(float).max) <= y
@@ -393,48 +369,99 @@ def test_power_log_inverse_brackets_the_crossing():
     assert checked >= 180
 
 
-def test_power_log_inverse_agrees_with_itp_on_the_panel_twin():
-    for scale, p, q, y in _inverse_grid():
-        t = PowerLog(scale, p, q).g_inverse_point(y)
-        if t is None or t > 1e11:  # the ladder stops at 1e12
-            continue
-        twin = twin_g(scale, p, q)
-        assert twin.inverse_point(y) is None
-        t_itp, _ = _solve_exceed(twin, y, t - 10.0, None)
-        # where g is flat, as for p = 0 near t = 5e8, floats pin the crossing
-        # only to a few ulps of y over g'(t)
-        slope = (p + q / float(log_e_plus(t))) / (1.0 + math.exp(1.0 - t))
-        d = max(1e-9, 2.0 * float(np.spacing(abs(t))), 8.0 * float(np.spacing(abs(y))) / slope)
-        assert abs(t_itp - t) <= d, (scale, p, q, y)
+def _inverse_families():
+    """Every family kind that can be a staircase source, the finite rank step
+    profile, two minima, and seeded shift and dilate views of each."""
+    rng = np.random.default_rng(29)
+    stair = g_step(np.cumsum(rng.uniform(0.1, 2.0, 30)).tolist(),
+                   np.cumsum(rng.uniform(0.1, 1.0, 31)).tolist())
+    grid = [0.0] + np.exp(np.sort(rng.uniform(-3.0, 4.0, 25))).tolist()
+    values = np.sort(rng.uniform(0.01, 1.0, 26))[::-1].tolist()
+    tail = PowerLog(p=1.5, q=0.5)
+    bases = {
+        "power_log": pl_g(1.3, 1.0, 1.1),
+        "power_log_q0": pl_g(0.7, 1.5, 0.0),
+        "power_log_p0": pl_g(1.0, 0.0, 2.0),
+        "exponential": g_transform(exponential(2.0)),
+        "pure_power": g_transform(pure_power(1.5, 2.0, 0.5)),
+        "g_step": stair,
+        "step": g_transform(step_mu([0.0, 0.5, 2.0, 7.0], [1.0, 0.4, 0.1])),
+        "sampled": g_transform(sampled(grid, values)),
+        "sampled_tail": g_transform(sampled(grid, values, tail=tail)),
+        # the tail starts below the last sample: g dips at the splice
+        "sampled_tail_dip": g_transform(sampled([0.0, 1.0, 2.0], [1.0, 0.5, 0.01],
+                                                tail=PowerLog(p=0.5))),
+        "min_power_logs": pointwise_min(pl_g(1.0, 1.2, 0.5), pl_g(2.0, 1.1, 1.5)),
+        "min_power_log_g_step": pointwise_min(pl_g(1.0, 1.0, 0.5), stair),
+    }
+    for name, g in bases.items():
+        yield name, g
+        yield f"shift {name}", shift(g, float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-2.0, 2.0)))
+        yield f"dilate {name}", g_transform(dilate(g, float(np.exp(rng.uniform(-3.0, 3.0)))))
 
 
-def _count_work(monkeypatch):
-    """Record each scalar g call and each ITP run of the staircase solver."""
-    calls, itp_runs = [], []
+def test_inverse_point_contract():
+    # -inf where g exceeds y everywhere, the infimum of {g > y} where it is
+    # finite, +inf past the floats, and None where g never exceeds y
+    rng = np.random.default_rng(31)
+    lo, hi = -1e6, float(np.finfo(float).max)
+    kinds = set()
+    for name, g in _inverse_families():
+        with np.errstate(over="ignore"):  # g(hi) overflows for all but p = 0
+            bottom, top = g(lo), g(hi)
+        sup = top if g.horizon_t is not None else math.inf
+        ts = np.concatenate([rng.uniform(-10.0, 60.0, 40), g.knots_in(-1e3, 1e3)[:20]])
+        ys = [bottom - 1.0, bottom, float(np.nextafter(bottom, math.inf)), bottom + 1e-3, top, top + 1.0]
+        for y0 in g.eval(ts).tolist():  # step values exactly, a float below, and between
+            ys += [y0, math.nextafter(y0, -math.inf), y0 + float(rng.uniform(0.0, 0.5))]
+        for y in ys:
+            if not math.isfinite(y):
+                continue
+            t = g.inverse_point(y)
+            # the hook reads y - b and adds the family's constants, each
+            # rounding once: a few ulps of y, which move the crossing far
+            # near a power-log's floor, where g is flat
+            dy = 4.0 * math.ulp(max(abs(y), abs(g.b), 1.0))
+            assert (t is None) == (y >= sup), (name, y, t)
+            if y < bottom - dy:
+                assert t == -math.inf, (name, y, t)
+            if t is None:
+                kinds.add("none")
+            elif t == -math.inf:
+                assert y <= bottom + dy, (name, y)
+                kinds.add("-inf")
+            elif t == math.inf:
+                assert top <= y, (name, y)
+                kinds.add("+inf")
+            else:
+                _assert_infimum(g, y, t, dy)
+                kinds.add("jump" if t in (g.knots_t or ()) else "crossing")
+    assert kinds == {"none", "-inf", "+inf", "jump", "crossing"}
+    # at its floor a pure power first exceeds y past the crossover; below it, everywhere
+    pp = pure_power(1.5, 2.0, 0.5).family
+    floor = -math.log(0.5)
+    assert pp.g_inverse_point(floor) == (floor + math.log(2.0)) / 1.5
+    assert pp.g_inverse_point(float(np.nextafter(floor, -math.inf))) == -math.inf
+
+
+def _count_calls(monkeypatch):
+    """Record each scalar g call of the staircase solver."""
+    calls = []
     scalar = _View.__call__
     monkeypatch.setattr(_View, "__call__", lambda self, t: calls.append(t) or scalar(self, t))
-    monkeypatch.setattr("singtrace.staircase._itp",
-                        lambda *args: itp_runs.append(args[2]) or _itp(*args))
-    return calls, itp_runs
+    return calls
 
 
 @pytest.mark.parametrize("build", [construct_vanisher, construct_dominator])
 def test_power_log_staircase_takes_one_g_call_per_breakpoint(monkeypatch, build):
-    calls, itp_runs = _count_work(monkeypatch)
-    build(g_transform(power_log(1.0, 1.0, 1.0)), n_steps=40)
-    assert len(calls) / 39 <= 1.1 and itp_runs == []
-
-
-@pytest.mark.parametrize("name", ["power_log_q", "pointwise_min"])
-def test_numeric_dominator_runs_no_itp_where_the_margin_binds(monkeypatch, name):
-    calls, itp_runs = _count_work(monkeypatch)
-    s = construct_dominator(NUMERIC_SOURCES[name](), n_steps=40)
-    bps = s.breakpoints
-    set_by_solver = [bps[n] for n in range(1, len(bps)) if bps[n] != bps[n - 1] + (n + 1)]
-    assert len(itp_runs) == len(set_by_solver)
-    # slopes above 1/2: the margin sets every breakpoint, and the ladder's
-    # first rung gives g there, so only the two start-point calls remain
-    assert set_by_solver == [] and len(calls) <= 2
+    # and so do the minimum and the sampled tail, which a bracketing root
+    # finder served at 14-18 calls per vanisher breakpoint
+    calls = _count_calls(monkeypatch)
+    for src in (pl_g(1.0, 1.0, 1.0), INVERSE_SOURCES["pointwise_min"](),
+                INVERSE_SOURCES["sampled_tail"]()):
+        calls.clear()
+        build(src, n_steps=40)
+        assert len(calls) / 39 <= 1.1, src
 
 
 def test_power_log_staircases_verify_across_q():
