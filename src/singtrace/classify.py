@@ -37,12 +37,12 @@ log_S_grid call, which computes the prefix or tail integral once, and
 the index at which each window starts.  Both criteria score that
 sample, taking the window minima with one np.minimum.reduceat at those
 starts; the ratio adds log S at ss + log lam from one more call.
-classify shares the sample between them whenever their horizons agree,
-which they do unless a trusted horizon ends within log lam of
-horizon_log.  log_S_grid decides the branch, so a profile whose trace
-class status is undecided fails its sample, as does a quadrature that
-does not converge, such as a tail still growing where the march ends;
-the failure is kept, and both criteria report it as undecided.
+classify shares the sample between them only without a trusted horizon or
+with one at least horizon_log + log lam; a shorter h takes one per criterion,
+up to min(h, horizon_log) and h - log lam.  log_S_grid decides the branch, so a
+profile whose trace class status is undecided fails its sample, as does a
+quadrature that does not converge, such as a tail still growing where the
+march ends; the failure is kept, and both criteria report it as undecided.
 
 Verdicts are three-valued (True / False / None) because horizon limited
 data cannot settle a liminf.

@@ -26,6 +26,7 @@ is the shift (a, b) = (-log lam, -log lam).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -403,13 +404,15 @@ class PowerLog(Family):
 
     def g(self, t):
         # in place, to spare the panels' temporaries; the grouping
-        # (-log scale + p*u) + q*log u keeps every value bit for bit
+        # (-log scale + p*u) + q*log u keeps every value bit for bit.  g(inf) =
+        # inf: a zero term is left out (0*inf) and q < 0 caps log u (inf - inf)
         u = log_e_plus(t)
-        out = self.p * u
+        out = self.p * u if self.p else 0.0
         out += -math.log(self.scale)
-        log_u = np.log(u)
-        log_u *= self.q
-        out += log_u
+        if self.q:
+            log_u = np.minimum(np.log(u), 710.0) if self.q < 0 else np.log(u)
+            log_u *= self.q
+            out += log_u
         return out
 
     @property
@@ -1118,20 +1121,21 @@ class MinOf(Family):
 # public wrappers
 
 
-def _ordered(i):
-    """float64 bit patterns (as int64) to integers in the floats' order; its own inverse."""
-    return np.where(i < 0, np.int64(-0x8000000000000000) - i, i)
+def _below_sum(b, y):
+    """The largest float v whose float sum b + v is at most y.
 
-
-def _first_float(holds, lo, hi):
-    """Per entry, the least float x in (lo, hi] with holds(x), for a holds that
-    is monotone in x, false at lo and true at hi: bisection over the floats."""
-    lo, hi = _ordered(lo.view(np.int64)), _ordered(hi.view(np.int64))
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        ok = holds(_ordered(mid).view(np.float64))
-        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
-    return _ordered(hi).view(np.float64)
+    TwoSum (Knuth, TAOCP vol. 2, 4.2.2) gives y - b = s + e exactly.  Sums
+    that round to y or below end half the gap above y past it, so s + (e +
+    gap / 2) rounds to v or to the float above it: one check of b + v settles it.
+    """
+    s = y - b
+    if not math.isfinite(s):  # a nan or infinite y, or y - b past the floats
+        return sys.float_info.max if s == math.inf > y else s
+    z = s - y
+    e = (y - (s - z)) - (b + z)
+    gap = math.ulp(y) if y > 0 else math.nextafter(y, math.inf) - y
+    v = s + (e + 0.5 * gap)
+    return math.nextafter(v, -math.inf) if b + v > y else v
 
 
 @dataclass(frozen=True)
@@ -1156,18 +1160,12 @@ class _View:
 
     @cached_property
     def knots_t(self):
-        """The family's jumps in t under the shift, each the first float t at
-        which the lookup at t - a has jumped; None for a family without jumps."""
+        """The family's jumps k in t under the shift, each the first float t whose
+        lookup at t - a has jumped, -_below_sum(a, -k); None without jumps."""
         knots = self.family.knots_t()
-        if knots is None:
-            return None
-        k = np.array(knots, dtype=float)
-        t = k + self.a  # t - a can round to either side of k
-        off = (t - self.a < k) | (np.nextafter(t, -math.inf) - self.a >= k)
-        if off.any():
-            w = 8.0 * (abs(np.spacing(k[off])) + abs(np.spacing(self.a)))
-            t[off] = _first_float(lambda x: x - self.a >= k[off], t[off] - w, t[off] + w)
-        return tuple(t.tolist())
+        if knots is None or self.a == 0:
+            return knots
+        return tuple(-_below_sum(self.a, -k) for k in knots)
 
     def knots_in(self, lo, hi):
         """The shifted jumps inside [lo, hi]."""
@@ -1192,24 +1190,15 @@ class GFunction(_View):
     def inverse_point(self, y):
         """inf{t : g(t) > y}, on the family's g_inverse_point contract.
 
-        y - b rounds, so where b != 0 an answer at a jump or past the last
-        one is settled on the view's own sums b + value; t + a can round
-        back onto the old step, so a jump maps to the view's knot."""
-        f, b, knots = self.family, self.b, self.family.knots_t() or ()
-        t = f.g_inverse_point(y - b)
-        if b and knots:
-            while t in knots and b + (v := float(f.g(t))) <= y:  # this jump falls short of y
-                t, last = f.g_inverse_point(v), t
-                if t == last:  # g is continuous past it
-                    break
-            while t is None or t in knots:  # or the jump before already exceeds y
-                v = float(f.g(math.inf if t is None else math.nextafter(t, -math.inf)))
-                if b + v <= y:
-                    break
-                t = f.g_inverse_point(math.nextafter(v, -math.inf))
-        if t in knots:
-            return self.knots_t[knots.index(t)]
-        return None if t is None else t + self.a
+        A family without jumps answers for y - b, moved by a.  Otherwise both
+        roundings of b + family.g(t - a) are exact: the sum b + w exceeds y
+        just where w exceeds _below_sum(b, y), and the family's answer t moves
+        to the first float whose lookup reaches t (at a jump, the view's knot)."""
+        if self.knots_t is None:
+            t = self.family.g_inverse_point(y - self.b)
+            return None if t is None else t + self.a
+        t = self.family.g_inverse_point(_below_sum(self.b, y))
+        return None if t is None else 0.0 - _below_sum(self.a, -t)  # 0.0 stays +0.0
 
 
 @dataclass(frozen=True)

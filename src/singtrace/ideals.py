@@ -18,6 +18,7 @@ NonMember needs a slope refutation, anything else stays undecided).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,16 +184,9 @@ def _refuted(mode, slope_a, slope_b, window=(), detail="") -> IdealDecision:
 
 
 def _rank_t(g: GFunction) -> float:
-    """Where g turns infinite: the first jump past which g = +inf."""
-    knots = g.knots_t
-    if knots is None:
-        return 0.0
-    # g is constant between jumps: probe each one halfway to the next
-    nexts = knots[1:] + tuple(k + 2.0 for k in knots[-1:])
-    for tau, nxt in zip(knots, nexts):
-        if math.isinf(g(0.5 * (tau + nxt))):
-            return tau
-    return g.a  # the zero profile: g = +inf from the start
+    """The first t where g = +inf; g.a for the zero profile, +inf from the start."""
+    t = g.inverse_point(sys.float_info.max)
+    return g.a if t == -math.inf else t
 
 
 def _profile_order(pa, pb):

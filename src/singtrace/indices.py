@@ -27,7 +27,7 @@ the jump spacing, hence the adapted default grid (1, 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,21 +88,11 @@ class EstimatorConfig:
         """Defaults adapted to the profile's representation.
 
         Step profiles are scanned exactly over their whole trusted range
-        with short increments (jumps dominate long-increment quotients);
-        horizon limited samples shrink the horizon instead.
+        with short increments (jumps dominate long-increment quotients).
         """
         horizon_t = g.horizon_t
         if g.knots_t is not None and horizon_t is not None and horizon_t > 40.0:
             return cls(h_grid=(1.0, 2.0), horizon=horizon_t, t_step=0.01)
-        if horizon_t is not None and horizon_t < 40.0:
-            hs = tuple(
-                h for h in (1.0, 2.0, 4.0, 8.0, 16.0) if h < 0.5 * horizon_t
-            )
-            if not hs:
-                raise HorizonTooShort(
-                    f"trusted horizon {horizon_t:.3g} leaves no usable increment"
-                )
-            return cls(h_grid=hs, horizon=horizon_t)
         return cls()
 
 
@@ -165,6 +155,8 @@ def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> M
     usable = tuple(h for h in cfg.h_grid if horizon - h > w_lo)
     if not usable:
         raise HorizonTooShort(f"no increment fits the tail window up to T = {horizon:.3g}")
+    if (usable, horizon) != (cfg.h_grid, cfg.horizon):  # report the scan that ran
+        cfg = replace(cfg, h_grid=usable, horizon=horizon)
     per_h = []
     exact_scan = g.knots_t is not None
     for h in usable:
@@ -231,9 +223,10 @@ class LinearBoundWitness:
 
 def _bound_grid(g: GFunction):
     cfg = EstimatorConfig.default_for(g)
-    step = max(cfg.t_step, cfg.horizon / 1_000_000)  # cap the grid size
-    ts = np.arange(0.0, cfg.horizon + step / 2, step)
-    return ts, cfg.horizon, step
+    horizon = cfg.horizon if g.horizon_t is None else min(cfg.horizon, g.horizon_t)
+    step = max(cfg.t_step, horizon / 1_000_000)  # cap the grid size
+    ts = np.arange(0.0, horizon + step / 2, step)
+    return ts, horizon, step
 
 
 def linear_bound_witness(fn, eps: float) -> LinearBoundWitness:

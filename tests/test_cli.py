@@ -390,10 +390,11 @@ def test_cli_usage_errors_exit_1(capsys, argv):
     assert "usage" in capsys.readouterr().err
 
 
-def _run_cli(*argv, stdout=None):
+def _run_cli(*argv, stdout=None, timeout=None):
     """Run the CLI, or python -c code, in a fresh interpreter that finds this singtrace.
 
-    stdout is a file descriptor for the child's stdout; None captures it.
+    stdout is a file descriptor for the child's stdout; None captures it.  A
+    child still running after timeout seconds is killed and the test fails.
     """
     import os
     import subprocess
@@ -404,7 +405,7 @@ def _run_cli(*argv, stdout=None):
     src = os.path.dirname(os.path.dirname(singtrace.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE if stdout is None else stdout,
-                          stderr=subprocess.PIPE, text=True, env=env)
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -430,6 +431,22 @@ def test_cli_import_loads_no_scipy():
     res = _run_cli("-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_staircase_on_a_bounded_shifted_minimum_raises_bounded():
+    # the offset 0.5 shifts the minimum in b, and the level 9 lies past its
+    # bounded step side: the inverse answers None there, in a child that a
+    # timeout stops should it loop
+    code = ("from singtrace import construct_vanisher, g_step, g_transform, pointwise_min, power_log\n"
+            "from singtrace.errors import Bounded\n"
+            "g = pointwise_min(g_step([1, 2], [0, .5, 3], horizon=50), g_transform(power_log(p=1.5)))\n"
+            "try:\n"
+            "    construct_vanisher(g, 40)\n"
+            "except Bounded as exc:\n"
+            "    print('Bounded:', exc)\n")
+    res = _run_cli("-c", code, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("Bounded: g never exceeds 9"), res.stdout
 
 
 def test_cli_exponential_against_vanisher_never_crashes(capsys, tmp_path):

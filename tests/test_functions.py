@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+import sys
 import warnings
 
 import mpmath
@@ -24,6 +26,7 @@ from singtrace.functions import (
     SpectralData,
     StepMu,
     _anchor_z1,
+    _below_sum,
     _certified_terms,
     _lower_side,
     dilate,
@@ -555,6 +558,68 @@ def test_shifted_g_step_inverse_point_is_the_first_float_past_the_jump():
             assert g(t) > y and g(np.nextafter(t, -math.inf)) <= y, (g, y, t)
             answers += 1
     assert answers > 1000
+
+
+def _float_key(x):
+    """Integers in the floats' order: the bit pattern, reflected below zero."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(1 << 63) - i
+
+
+def _key_float(k):
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -(1 << 63) - k))[0]
+
+
+def _below_sum_oracle(b, y):
+    """The largest float v with b + v <= y, by bisection over the floats in order."""
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)  # true at -inf, false at inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if b + _key_float(mid) <= y else (lo, mid)
+    return _key_float(lo)
+
+
+def test_below_sum_matches_a_bisection_over_the_floats():
+    rng = np.random.default_rng(43)
+    top = sys.float_info.max
+
+    def draw():
+        return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+
+    pairs = [(b, y) for b in (1.5, -1.5, 1e300, -1e300, top, -top) for y in (top, -top)]
+    for i in range(12_000):
+        b = draw()
+        y = [draw(),  # unrelated magnitudes
+             b * (1.0 + float(rng.normal()) * 10.0 ** rng.uniform(-17.0, -1.0)),  # y ~ b
+             b + float(rng.integers(-4, 5)) * math.ulp(b),  # within ulps of b
+             draw() * 1e-20 if abs(b) > 1e-280 else draw(),  # |b| >> |y| mostly
+             ][i % 4]
+        pairs.append((b, y))
+    for b, y in pairs:
+        assert _below_sum(b, y) == _below_sum_oracle(b, y), (b, y)
+
+
+def test_g_at_plus_inf_is_never_nan():
+    # +inf for an unbounded g, the last value for a step profile that stops
+    # at a finite one; a power-log must form neither 0*log inf nor inf - inf
+    tail = PowerLog(p=1.5, q=0.0)
+    step = g_step([1.0, 2.0], [0.0, 0.5, 3.0], horizon=50.0)
+    bases = [power_log(1.3, 1.0, 0.0), power_log(1.0, 1.0, -0.5), power_log(2.0, 0.0, 2.0),
+             power_log(0.7, 1.5, 1.1), exponential(2.0), pure_power(1.5, 2.0, 0.5),
+             step_mu([0.0, 1.0, 3.0], [2.0, 1.0]), step, g_step([1.0, 2.0], [0.0, 1.0, math.inf]),
+             sampled([0.0, 1.0, 4.0], [1.0, 0.5, 0.2]), sampled([0.0, 1.0, 4.0], [1.0, 0.5, 0.0]),
+             sampled([0.0, 1.0, 4.0], [1.0, 0.5, 0.2], tail=tail),
+             sampled([0.0, 1.0, 4.0], [1.0, 0.5, 0.2], tail=PowerLog(p=1.0, q=-0.5)),
+             pointwise_min(step, g_transform(power_log(p=1.5))),
+             pointwise_min(g_transform(power_log(1.0, 1.0, -0.5)), g_transform(power_log(p=2.0))),
+             pointwise_min(g_transform(sampled([0.0, 1.0], [1.0, 0.5], tail=tail)), step)]
+    for base in bases:
+        for g in (g_transform(base), shift(g_transform(base), 1.7, -0.3),
+                  g_transform(dilate(g_inverse(base), 3.0))):
+            with np.errstate(over="ignore"):
+                want = g(sys.float_info.max) if g.horizon_t is not None else math.inf
+            assert g(math.inf) == want, (g, g(math.inf))
+            assert g.eval(np.array([0.0, math.inf]))[1] == want, g
 
 
 def test_logsubexp_keeps_its_digits_near_equal_arguments():

@@ -393,6 +393,8 @@ def _inverse_families():
                                                 tail=PowerLog(p=0.5))),
         "min_power_logs": pointwise_min(pl_g(1.0, 1.2, 0.5), pl_g(2.0, 1.1, 1.5)),
         "min_power_log_g_step": pointwise_min(pl_g(1.0, 1.0, 0.5), stair),
+        # bounded by the step side; at t = inf the q = 0 side forms 0*log inf
+        "min_g_step_power_log_q0": pointwise_min(stair, pl_g(0.7, 1.5, 0.0)),
     }
     for name, g in bases.items():
         yield name, g
@@ -412,23 +414,26 @@ def test_inverse_point_contract():
         sup = top if g.horizon_t is not None else math.inf
         ts = np.concatenate([rng.uniform(-10.0, 60.0, 40), g.knots_in(-1e3, 1e3)[:20]])
         ys = [bottom - 1.0, bottom, float(np.nextafter(bottom, math.inf)), bottom + 1e-3, top, top + 1.0]
+        if sup < math.inf:  # a bounded g at its supremum and one float below it
+            ys += [sup, math.nextafter(sup, -math.inf)]
         for y0 in g.eval(ts).tolist():  # step values exactly, a float below, and between
             ys += [y0, math.nextafter(y0, -math.inf), y0 + float(rng.uniform(0.0, 0.5))]
         for y in ys:
             if not math.isfinite(y):
                 continue
             t = g.inverse_point(y)
-            # the hook reads y - b and adds the family's constants, each
+            # a view with jumps settles both of its roundings exactly; one
+            # without reads y - b and adds the family's constants, each
             # rounding once: a few ulps of y, which move the crossing far
             # near a power-log's floor, where g is flat
-            dy = 4.0 * math.ulp(max(abs(y), abs(g.b), 1.0))
+            dy = 0.0 if g.knots_t is not None else 4.0 * math.ulp(max(abs(y), abs(g.b), 1.0))
             assert (t is None) == (y >= sup), (name, y, t)
             if y < bottom - dy:
                 assert t == -math.inf, (name, y, t)
             if t is None:
                 kinds.add("none")
             elif t == -math.inf:
-                assert y <= bottom + dy, (name, y)
+                assert y - dy < bottom, (name, y)
                 kinds.add("-inf")
             elif t == math.inf:
                 assert top <= y, (name, y)
@@ -442,6 +447,12 @@ def test_inverse_point_contract():
     floor = -math.log(0.5)
     assert pp.g_inverse_point(floor) == (floor + math.log(2.0)) / 1.5
     assert pp.g_inverse_point(float(np.nextafter(floor, -math.inf))) == -math.inf
+
+
+def test_shifted_step_inverse_point_settles_the_sum_at_the_bottom():
+    # 1.5 + 0.8 rounds to 2.3 itself, so g first exceeds 2.3 at the first jump,
+    # though y - b = 0.7999999999999998 lies below the bottom step
+    assert shift(g_step([1, 2], [0.8, 1.8, 3.8]), 0, 1.5).inverse_point(2.3) == 1.0
 
 
 def _count_calls(monkeypatch):
