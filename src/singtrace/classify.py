@@ -34,9 +34,15 @@ exp(s - g(s) - log S(s)) and S(lam x)/S(x) is exp(log S(s + log lam) -
 log S(s)).  The windows are contiguous, so they are sampled as one
 ascending grid ss: g(ss) from one g.eval call, log S(ss) from one
 log_S_grid call, which computes the prefix or tail integral once, and
-the index at which each window starts.  Both criteria score that
-sample, taking the window minima with one np.minimum.reduceat at those
-starts; the ratio adds log S at ss + log lam from one more call.
+the index at which each window starts.  On each step of a piecewise
+constant g, S is affine in x: x mu/S increases from each knot, and
+S(lam x)/S(x) is monotone between knots and knots - log lam.  At the
+latter mu(lam x) drops, so the ratio's slope falls (up branch, ratio >= 1)
+or rises (down, ratio <= 1): no minimum of |ratio - 1| lies there.  Such
+a g is sampled at its knots and the window ends only, any other on 800
+points per window and at, 1e-9 past and 1 past each jump.  Both criteria
+score that sample, taking the window minima with one np.minimum.reduceat
+at those starts; the ratio adds log S at ss + log lam from one more call.
 classify shares the sample between them only without a trusted horizon or
 with one at least horizon_log + log lam; a shorter h takes one per criterion,
 up to min(h, horizon_log) and h - log lam.  log_S_grid decides the branch, so a
@@ -97,11 +103,6 @@ class TraceabilityVerdict:
 # dyadic window machinery
 
 
-def _windows(T: float):
-    """[(lo, hi)] nearest the horizon first: [T/2, T], [T/4, T/2], ..."""
-    return [(T * 2.0 ** (-(j + 1)), T * 2.0 ** (-j)) for j in range(_N_WINDOWS)]
-
-
 def _limit_point_verdict(minima, theta):
     """Shared decision rule on dyadic-window minima (nearest horizon first).
 
@@ -121,9 +122,14 @@ def _limit_point_verdict(minima, theta):
 def _tail_sample(mu: EigenvalueFunction, g: GFunction, T: float):
     """The dyadic windows below T as one ascending grid ss, log S(ss), g(ss)
     and the index at which each window starts: the sample both tail criteria
-    read.  The near-target dips of a step profile start right at its jumps."""
-    grids = [knot_grid(lo, hi, _WINDOW_POINTS, g.knots_in(lo, hi), (0.0, 1e-9, 1.0))
-             for lo, hi in _windows(T)[::-1]]
+    read, at the points the module docstring names."""
+    ends = (T * 2.0 ** -np.arange(_N_WINDOWS, -1.0, -1.0)).tolist()  # window j: [T/2^(j+1), T/2^j]
+    if g.family.piecewise_constant:
+        grids = [np.array(sorted({lo, hi, *g.knots_in(lo, hi)}))
+                 for lo, hi in zip(ends[:-1], ends[1:])]
+    else:
+        grids = [knot_grid(lo, hi, _WINDOW_POINTS, g.knots_in(lo, hi), (0.0, 1e-9, 1.0))
+                 for lo, hi in zip(ends[:-1], ends[1:])]
     ss = np.concatenate(grids)
     with np.errstate(over="ignore", invalid="ignore"):
         return ss, log_S_grid(mu, ss), g.eval(ss), np.cumsum([0] + [len(w) for w in grids])[:-1]

@@ -126,9 +126,7 @@ def _output_flags(parser):
 
 
 def _inline_family(args):
-    obj = {"kind": args.kind, "p": args.p, "q": args.q, "scale": args.scale,
-           "cap": args.cap, "alpha": args.alpha}
-    return family_from_dict(obj)
+    return family_from_dict({k: getattr(args, k) for k in ("kind", "p", "q", "scale", "cap", "alpha")})
 
 
 def _resolve_inputs(args, names):
@@ -147,18 +145,14 @@ def _resolve_inputs(args, names):
 
 
 def _estimator_config(args) -> EstimatorConfig | None:
-    if args.horizon is None and args.h_grid is None and args.tail_window is None:
+    flags = {"horizon": args.horizon, "tail_fraction": args.tail_window, "h_grid": args.h_grid}
+    kwargs = {k: v for k, v in flags.items() if v is not None}
+    if not kwargs:
         return None
-    base = EstimatorConfig()
-    kwargs = {}
-    if args.horizon is not None:
-        kwargs["horizon"] = args.horizon
-    if args.tail_window is not None:
-        kwargs["tail_fraction"] = args.tail_window
     try:  # an out-of-range flag is bad input, like a bad file
         if args.h_grid is not None:
             kwargs["h_grid"] = tuple(float(h) for h in args.h_grid.split(","))
-        return dataclasses.replace(base, **kwargs)
+        return EstimatorConfig(**kwargs)
     except ValueError as exc:
         raise ParseError(f"estimator flags: {exc}") from None
 
@@ -191,14 +185,8 @@ def _cmd_classify(args) -> int:
         "regular": rep.regular,
         "delta": rep.delta,
         "indices": rep.indices_report,
-        "criteria": {
-            "indices": {"traceable": _verdict_str(rep.by_indices.traceable),
-                        **rep.by_indices.evidence},
-            "liminf": {"traceable": _verdict_str(rep.by_liminf.traceable),
-                       **rep.by_liminf.evidence},
-            "ratio": {"traceable": _verdict_str(rep.by_ratio.traceable),
-                      **rep.by_ratio.evidence},
-        },
+        "criteria": {name: {"traceable": _verdict_str(v.traceable), **v.evidence}
+                     for name, v in zip(("indices", "liminf", "ratio"), rep.verdicts)},
         "agreement": rep.agreement,
         "finite_rank": rep.finite_rank,
         "horizon_limited": rep.horizon_limited,

@@ -304,12 +304,13 @@ class Family:
     """What every concrete family provides, with the defaults most share.
 
     A family defines mu (on the M side) and g (on the G side), and
-    overrides the defaults below where they do not hold.  Piecewise
-    constant families report their jumps through edges_x() and knots_t();
-    the estimators scan those exactly.
+    overrides the defaults below where they do not hold.  Families with
+    jumps report them through edges_x() and knots_t(); the estimators read
+    a piecewise_constant one at those points alone.
     """
 
     finite_rank = False
+    piecewise_constant = False
     horizon_t = None  # None: trusted on all of t (or finite rank)
     profile = None  # exact GrowthProfile, when one is known
     rank = None  # total mass of the support of a finite rank profile
@@ -619,15 +620,10 @@ class PurePower(Family):
         if self.p == 1:
             with np.errstate(divide="ignore"):
                 tail_part = math.log(self.scale) + np.log(np.maximum(s - sc, 0.0))
-            tail_part = np.where(s > sc, tail_part, -np.inf)
         else:
-            tail_part = (
-                math.log(self.scale)
-                - math.log(1 - self.p)
-                + logsubexp((1 - self.p) * np.maximum(s, sc), (1 - self.p) * sc)
-            )
-            tail_part = np.where(s > sc, tail_part, -np.inf)
-        return logaddexp(head, tail_part)
+            tail_part = (math.log(self.scale) - math.log(1 - self.p)
+                         + logsubexp((1 - self.p) * np.maximum(s, sc), (1 - self.p) * sc))
+        return logaddexp(head, np.where(s > sc, tail_part, -np.inf))
 
     def log_S_down(self, s):
         if self.p <= 1:
@@ -707,6 +703,8 @@ class _StepFamily(Family):
     _x_steps() = (xb, vals), mu = vals[i] on [xb[i], xb[i+1]) and vals[-1]
     from xb[-1] on; mu is a lookup there, and _steps() its logarithm.
     """
+
+    piecewise_constant = True
 
     def _steps(self):
         xb, vals = self._x_arrays
@@ -944,6 +942,10 @@ class SampledMu(_StepFamily):
     def profile(self):
         return None if self.tail is None else self.tail.profile
 
+    @property
+    def piecewise_constant(self):
+        return self.tail is None or self.tail.piecewise_constant
+
     def edges_x(self):
         more = self.tail.edges_x() if self.tail is not None else None
         return self.grid + tuple(e for e in more or () if e > self.grid[-1])
@@ -1087,6 +1089,10 @@ class MinOf(Family):
         # the slower growing side wins
         pa, pb = self.left.profile, self.right.profile
         return None if pa is None or pb is None else min(pa, pb)
+
+    @property
+    def piecewise_constant(self):
+        return self.left.family.piecewise_constant and self.right.family.piecewise_constant
 
     def knots_t(self):
         # a jump of either side can be a jump of the minimum; an extra knot

@@ -16,12 +16,13 @@ underestimate the limsup and the inf overestimate the liminf, so the
 estimated delta_lower is biased up and delta_upper biased down; the
 per-increment table in the report shows how far the scan got.
 
-Piecewise constant g (staircases, rearranged spectra, samples) gets an
+Piecewise constant g (staircases, samples, minima of two such) gets an
 exact scan: the quotient is piecewise constant in t with breakpoints
 where either t or t+h crosses a step, so the window extremes are
-computed from finitely many critical points instead of a dense grid.
-For such profiles the informative increments are the ones shorter than
-the jump spacing, hence the adapted default grid (1, 2).
+computed from finitely many critical points; other g with jumps add
+those points to the dense grid.  For profiles with jumps the informative
+increments are the ones shorter than the jump spacing, hence the adapted
+default grid (1, 2).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HorizonTooShort, NoWitnessOnHorizon, PreconditionFailed
-from .functions import GFunction, g_transform
+from .functions import GFunction, g_transform, knot_grid
 
 BIAS_NOTE = (
     "finite tail window: delta_lower is biased up, delta_upper biased down"
@@ -117,17 +118,16 @@ def _window_extremes(g: GFunction, h: float, w_lo: float, w_hi: float, t_step: f
 
     Piecewise constant g makes the quotient piecewise constant in t with
     breaks where t or t+h crosses a jump, so scanning those critical
-    points gives the exact extremes.
+    points gives the exact extremes; other g take them on a dense grid.
     """
-    knots = g.knots_t
-    if knots is not None:
-        crits = {w_lo, w_hi, *g.knots_in(w_lo, w_hi)}
-        crits.update(tau - h for tau in knots if w_lo <= tau - h <= w_hi)
-        ts = np.array(sorted(crits))
+    crits = g.knots_in(w_lo, w_hi)
+    crits += [tau - h for tau in g.knots_t or () if w_lo <= tau - h <= w_hi]
+    if g.family.piecewise_constant:
+        ts = np.array(sorted({w_lo, w_hi, *crits}))
     else:
         # cap the scan so user-supplied huge horizons stay tractable
         n = max(min(int((w_hi - w_lo) / t_step) + 1, 400_001), 2)
-        ts = np.linspace(w_lo, w_hi, n)
+        ts = knot_grid(w_lo, w_hi, n, np.array(crits), (0.0,))
     quot = (g.eval(ts + h) - g.eval(ts)) / h
     return float(np.max(quot)), float(np.min(quot))
 
@@ -158,10 +158,9 @@ def matuszewska(fn, cfg: EstimatorConfig | None = None, mode: str = "auto") -> M
     if (usable, horizon) != (cfg.h_grid, cfg.horizon):  # report the scan that ran
         cfg = replace(cfg, h_grid=usable, horizon=horizon)
     per_h = []
-    exact_scan = g.knots_t is not None
     for h in usable:
         w_hi = horizon - h
-        if not exact_scan and (w_hi - w_lo) / cfg.t_step < 10:
+        if not g.family.piecewise_constant and (w_hi - w_lo) / cfg.t_step < 10:
             raise HorizonTooShort(
                 f"tail window [{w_lo:.3g}, {w_hi:.3g}] has fewer than 10 increments for h = {h}"
             )

@@ -291,7 +291,7 @@ def mu_over_S(mu: EigenvalueFunction, x: float) -> float:
 def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
     """integral_{x1}^{x2} mu, independent of the branch split.
 
-    Exact piecewise sums for step-like profiles, quadrature otherwise.
+    Exact piecewise sums for piecewise constant profiles, quadrature otherwise.
     """
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise NonFinite("mu_mass needs finite x1 and x2")
@@ -301,7 +301,7 @@ def mu_mass(mu: EigenvalueFunction, x1: float, x2: float) -> float:
         return 0.0
     mu = g_inverse(mu)
     edges = mu.family.edges_x()
-    if edges is not None:
+    if edges is not None and mu.family.piecewise_constant:
         scale = math.exp(mu.a)
         return piece_sum(mu.eval, [e * scale for e in edges], x1, x2)
     g, s2 = g_transform(mu), math.log(x2)

@@ -41,8 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Bounded, ConstructionRange, FiniteRank, TooFewSteps, VerificationFailed
-from .functions import GFunction, g_step, g_transform, knot_grid, shift
-from .ideals import _KERNEL_THRESHOLDS, _threshold_ladder
+from .functions import GFunction, _below_sum, g_step, g_transform, shift
+from .ideals import _KERNEL_THRESHOLDS
 from .indices import matuszewska
 
 VANISHER = "vanisher"
@@ -196,8 +196,9 @@ def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
     collapse on the staircase itself, the envelope against the
     appropriate power of the source, and the kernel or exclusion
     condition on a c ladder.  Raises VerificationFailed naming the first
-    violated check.
-    """
+    violated check.  Steps are constant and the source nondecreasing, so each
+    check reads one point per step (t_n, or t_{n+1} and the float below), and
+    each t0 is a knot or one inverse_point crossing of the source."""
     bps = np.asarray(s.breakpoints)
     ns = np.arange(1, len(bps))
 
@@ -220,32 +221,32 @@ def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
             f"outside [<= {_DELTA_LOWER_MAX}, >= {_DELTA_UPPER_MIN}]"
         )
 
-    horizon = stair.horizon_t if stair.horizon_t is not None else bps[-1]
-    ss = knot_grid(bps[0], horizon, 4000, stair.knots_in(bps[0], horizon), (0.0, 1e-9))
-    stair_vals = stair.eval(ss)
-    src_vals = s.source.eval(ss)
-    norm_vals = gA.eval(ss)
-
+    w, src = np.asarray(s.step_values), s.source
     if s.variant == VANISHER:
-        bound = np.sqrt(norm_vals)
-        envelope_ok = bool(np.all(stair_vals <= bound + _slack(bound)))
-        if not envelope_ok:
+        if not np.all(w <= phi_vals + _slack(phi_vals)):
             raise VerificationFailed("envelope: staircase exceeds sqrt of the source")
-        gap_fn = src_vals - stair_vals  # must exceed every c eventually
-        cs = _KERNEL_THRESHOLDS
+        ends = np.append(bps[1:], stair.horizon_t)  # step n holds on [t_n, ends[n]]
+        # source - staircase, which must exceed every c: least at each t_n, then at the end
+        cond = src.eval(np.append(bps, ends[-1])) - np.append(w, w[-1])
+        least, cs = cond[:-1], _KERNEL_THRESHOLDS
     else:
-        bound = norm_vals**2
-        envelope_ok = bool(np.all(stair_vals >= bound - _slack(bound)))
-        if not envelope_ok:
+        if not np.all(w >= phi_vals[1:] - _slack(phi_vals[1:])):
             raise VerificationFailed("envelope: staircase drops below the squared source")
-        gap_fn = stair_vals - src_vals  # exclusion: source < c + staircase
-        cs = tuple(-c for c in _KERNEL_THRESHOLDS)
+        # exclusion, source < c + staircase: least just below each t_{n+1}, and at t_N
+        ends, cs = bps[1:], tuple(-c for c in _KERNEL_THRESHOLDS)
+        cond = least = w - src.eval(np.append(np.nextafter(bps[1:-1], -np.inf), bps[-1]))
 
     t0s = []
-    for c, t0, crossed in _threshold_ladder(gap_fn, ss, cs):
-        if not crossed:
+    for c in cs:
+        if not cond[-1] > c:
             raise VerificationFailed(f"condition: threshold c = {abs(c)} never permanently met")
-        t0s.append((abs(c), t0))
+        failing = np.flatnonzero(least <= c)
+        t0 = ends[failing[-1]] if len(failing) else bps[0]
+        if len(failing) and s.variant == VANISHER:
+            # source - w_n > c just where the source exceeds _below_sum(-w_n, c)
+            n = failing[-1]
+            t0 = min(max(src.inverse_point(_below_sum(-w[n], c)), bps[n]), t0)
+        t0s.append((abs(c), float(t0)))
     if [t for _, t in t0s] != sorted(t for _, t in t0s):
         raise VerificationFailed("condition: t0 must be non-decreasing in c")
 
@@ -255,5 +256,5 @@ def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
         delta_lower=rep.delta_lower,
         delta_upper=rep.delta_upper,
         condition_t0=tuple(t0s),
-        envelope_ok=envelope_ok,
+        envelope_ok=True,
     )

@@ -8,6 +8,9 @@ WindowTwin: the same g, mu, closed forms of S, jumps, horizon and trace class,
 but no growth profile.  classify then decides the liminf and ratio criteria on
 dyadic tail windows, as it does for staircases, and estimates the indices, so
 the window path runs on families whose limits are known.
+
+BranchTwin: a WindowTwin with a given trace class, so that a sample without a
+tail model, whose branch of S is otherwise undecided, reaches the windows.
 """
 
 from dataclasses import dataclass
@@ -60,6 +63,10 @@ class WindowTwin(Family):
         return self.inner.knots_t()
 
     @property
+    def piecewise_constant(self):
+        return self.inner.piecewise_constant
+
+    @property
     def finite_rank(self):
         return self.inner.finite_rank
 
@@ -79,3 +86,17 @@ class WindowTwin(Family):
 def window_twin(fn):
     """The profile or g view fn, as the same view, without its growth profile."""
     return type(fn)(WindowTwin(fn.family), fn.a, fn.b)
+
+
+@dataclass(frozen=True)
+class BranchTwin(WindowTwin):
+    integrable: bool = False
+
+    @property
+    def trace_class(self):
+        return self.integrable
+
+
+def branch_twin(fn, integrable):
+    """The window twin of fn, integrable or not as given."""
+    return type(fn)(BranchTwin(fn.family, integrable), fn.a, fn.b)

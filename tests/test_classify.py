@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 
 import mpmath
 import numpy as np
@@ -32,7 +33,10 @@ from singtrace.functions import (
 from singtrace.integral import log_S, log_S_grid
 from singtrace.staircase import construct_dominator, construct_vanisher
 
-from panel_twin import panel_twin, window_twin
+from panel_twin import branch_twin, panel_twin, window_twin
+
+# the package attribute singtrace.classify is the function, not the module
+classify_module = importlib.import_module("singtrace.classify")
 
 TRACEABLE = {
     "power_p1": True,
@@ -224,18 +228,83 @@ def test_classify_computes_each_window_once(monkeypatch):
         assert rep.by_ratio.evidence["window_minima"] == alone_rat.evidence["window_minima"]
 
 
-@pytest.mark.parametrize("name", ["power_p1", "exponential", "dominator", "sampled_tail"])
+def dense_window_minima(fn, v, lam):
+    """Each window of the verdict v sampled alone on the dense grid classify
+    takes for a g without steps: 800 points plus points at and past each jump.
+    Also the rounding floor of each ratio minimum: |S(lam x)/S(x) - 1| reads
+    a difference of two log S values, each rounded to its last bits."""
+    mu, g = g_inverse(fn), g_transform(fn)
+    T = v.evidence["horizon_log"]
+    minima, floors = [], []
+    for j in range(4):
+        lo, hi = T * 2.0 ** (-j - 1), T * 2.0 ** -j
+        ss = knot_grid(lo, hi, 800, g.knots_in(lo, hi), (0.0, 1e-9, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ls = log_S_grid(mu, ss)
+            if v.criterion == CRIT_LIMINF:
+                vals, floor = np.exp(ss - (g.eval(ss) + ls)), 0.0
+            else:
+                shifted = log_S_grid(mu, ss + np.log(lam))
+                vals = np.abs(np.exp(shifted - ls) - 1.0)
+                floor = 8.0 * np.spacing(np.max(np.abs(np.concatenate((ls, shifted)))))
+        minima.append(float(np.min(vals)))
+        floors.append(floor * (1.0 + minima[-1]))
+    return minima, floors
+
+
+def compare_with_dense(fn, rep):
+    """classify's window minima are the dense sample's, bit for bit, except a
+    ratio minimum within its rounding floor of the dense one; the verdicts
+    agree.  Returns how many minima sat at that floor."""
+    at_floor = 0
+    for v in (rep.by_liminf, rep.by_ratio):
+        want, floors = dense_window_minima(fn, v, rep.config.ratio_lambda)
+        got = list(v.evidence["window_minima"])
+        for m, w, f in zip(got, want, floors):
+            if np.float64(m).view(np.int64) != np.float64(w).view(np.int64):
+                assert abs(m - w) <= f, (v.criterion, got, want)
+                at_floor += 1
+        if not any(map(math.isnan, want)):
+            assert classify_module._limit_point_verdict(want, classify_module._THETA)[0] \
+                is v.traceable, v.criterion
+    return at_floor
+
+
+def seeded_g_step(rng):
+    """A g_step of 5 to 120 jumps near a random slope, integrable or not."""
+    bp = np.cumsum(rng.uniform(0.2, 5.0, int(rng.integers(5, 121))))
+    values = np.concatenate([[0.0], rng.uniform(0.5, 2.0) * bp + rng.uniform(-1.0, 1.0, len(bp))])
+    return g_step(bp, np.maximum.accumulate(values), integrable=bool(rng.integers(2)))
+
+
+def tailless_sample(p, q, integrable):
+    """A power-log sampled on 200 points to t = 40, its branch given."""
+    grid = np.exp(np.linspace(0.0, 40.0, 200))
+    return branch_twin(sampled(grid, power_log(p=p, q=q).eval(grid)), integrable)
+
+
+@pytest.mark.parametrize("name", ["power_p1", "exponential", "dominator", "sampled_tail",
+                                  "vanisher", "g_step", "sampled"])
 def test_window_minima_match_each_window_sampled_alone(name):
     # classify samples its windows as one joined grid; each window sampled
     # on its own must give the same minima, nearest the horizon first.  A
     # family with a growth profile is decided by its exact limit, so its
-    # window twin is sampled instead; a NaN stays a NaN in its window
-    classify_module = importlib.import_module("singtrace.classify")
+    # window twin is sampled instead; a NaN stays a NaN in its window.  A
+    # step profile is read at its window ends and knots only; the dense
+    # grid stays the oracle
     exact = {
         "power_p1": (power_log(p=1), 0.0, 1.0),
         "exponential": (exponential(1.0), np.inf, 0.0),
         "sampled_tail": (sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2],
                                  tail=PowerLog(p=2.0)), 1.0, 0.5),
+    }
+    line = g_transform(pure_power(p=1))
+    steps = {
+        # trusted to t = 820: its windows hold knots of the staircase
+        "dominator": lambda: construct_dominator(line, 40).g(),
+        "vanisher": lambda: construct_vanisher(line, 40).g(),
+        "g_step": lambda: seeded_g_step(np.random.default_rng(26)),
+        "sampled": lambda: tailless_sample(1.2, 0.5, True),
     }
     if name in exact:
         fn, liminf, ratio = exact[name]
@@ -244,29 +313,48 @@ def test_window_minima_match_each_window_sampled_alone(name):
         assert rep.by_ratio.evidence == {"limit": ratio, "lambda": 2.0}
         fn = window_twin(fn)
     else:
-        # trusted to t = 820: its windows hold knots of the staircase
-        fn = construct_dominator(g_transform(pure_power(p=1)), 40).g()
+        fn = steps[name]()
+        assert g_transform(fn).family.piecewise_constant
     rep = classify(fn)
-    mu, g, lam = g_inverse(fn), g_transform(fn), rep.config.ratio_lambda
-    for v in (rep.by_liminf, rep.by_ratio):
-        T = v.evidence["horizon_log"]
-        want = []
-        for j in range(4):
-            lo, hi = T * 2.0 ** (-j - 1), T * 2.0 ** -j
-            ss = knot_grid(lo, hi, classify_module._WINDOW_POINTS, g.knots_in(lo, hi),
-                           (0.0, 1e-9, 1.0))
-            with np.errstate(over="ignore", invalid="ignore"):
-                ls = log_S_grid(mu, ss)
-                if v is rep.by_liminf:
-                    vals = np.exp(ss - (g.eval(ss) + ls))
-                else:
-                    vals = np.abs(np.exp(log_S_grid(mu, ss + np.log(lam)) - ls) - 1.0)
-            want.append(float(np.min(vals)))
-        assert np.array(v.evidence["window_minima"]).view(np.int64).tolist() == \
-            np.array(want).view(np.int64).tolist(), v.criterion
+    assert compare_with_dense(fn, rep) == 0
     if name == "dominator":
-        assert any(g.knots_in(0.5 * rep.by_liminf.evidence["horizon_log"],
-                              rep.by_liminf.evidence["horizon_log"]))
+        assert any(g_transform(fn).knots_in(0.5 * rep.by_liminf.evidence["horizon_log"],
+                                            rep.by_liminf.evidence["horizon_log"]))
+
+
+def test_knot_sample_matches_the_dense_sample_on_a_seeded_scan():
+    # step profiles: staircases of lines and power-logs, seeded g_steps and
+    # tail-less samples with a known branch; every window minimum and every
+    # verdict is the dense sample's, a few ratio minima up to rounding
+    rng = np.random.default_rng(2026)
+    sources = [g_transform(pure_power(p=1)), g_transform(power_log(p=0.7)),
+               g_transform(power_log(p=1.6)), g_transform(power_log(p=1, q=0.5))]
+    profiles = [build(src, n).g() for src in sources
+                for build, n in ((construct_vanisher, 40), (construct_dominator, 20))]
+    profiles += [seeded_g_step(rng) for _ in range(14)]
+    profiles += [tailless_sample(p, q, p > 1)
+                 for p, q in rng.uniform([0.3, -0.2], [2.5, 2.0], (8, 2))]
+    assert len(profiles) == 30
+    assert sum(compare_with_dense(fn, classify(fn)) for fn in profiles) <= 8
+
+
+def test_no_ratio_minimum_of_a_step_profile_lies_off_its_knots():
+    # where lam x crosses a knot the ratio's slope falls (up branch) or rises
+    # (down branch), so |S(lam x)/S(x) - 1| has no minimum there: a fine
+    # scan that adds knots - log lam reads no less than the knots alone,
+    # up to one ulp of log S
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        fn = seeded_g_step(rng)
+        rep = classify(fn)
+        mu, g, T = g_inverse(fn), g_transform(fn), rep.by_ratio.evidence["horizon_log"]
+        for j, got in enumerate(rep.by_ratio.evidence["window_minima"]):
+            lo, hi = T * 2.0 ** (-j - 1), T * 2.0 ** -j
+            shifted = [k - np.log(2.0) for k in g.knots_t if lo <= k - np.log(2.0) <= hi]
+            ss = np.unique(np.concatenate((np.linspace(lo, hi, 20001), g.knots_in(lo, hi), shifted)))
+            ls = log_S_grid(mu, ss)
+            fine = np.min(np.abs(np.exp(log_S_grid(mu, ss + np.log(2.0)) - ls) - 1.0))
+            assert fine >= got - np.spacing(np.max(np.abs(ls))) * (1.0 + got), (j, got, fine)
 
 
 def test_disagreeing_criteria_leave_no_consensus():

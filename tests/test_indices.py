@@ -11,6 +11,7 @@ from singtrace.functions import (
     exponential,
     g_step,
     g_transform,
+    pointwise_min,
     power_log,
     pure_power,
     sampled,
@@ -107,6 +108,24 @@ def test_sampled_indices_equal_the_equivalent_g_step(seeded_samples):
         assert len(got.per_h) == len(want.per_h) > 0
         for row, ref in zip(got.per_h, want.per_h):
             np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
+
+
+def test_minimum_with_a_continuous_side_is_scanned_densely():
+    # steps 10 k on [10 k - 8, 10 k + 2) under the line t + 3: the minimum
+    # holds 10 k from t = 10 k - 3 and jumps to 10 k + 5 at 10 k + 2, so
+    # g(t + 1) - g(t) nears 6 and (g(t + 2) - g(t)) / 2 nears 3.5 just before
+    # each jump.  Its knots alone read 5 and 2.5, so delta_lower 0.4
+    steps = g_step([2.0 + 10 * k for k in range(20)], [10.0 * k for k in range(21)],
+                   horizon=200.0)
+    m = pointwise_min(steps, shift(g_transform(pure_power(p=1.0)), 0.0, 3.0))
+    assert m.knots_t == steps.knots_t and not m.family.piecewise_constant
+    rep = matuszewska(m)
+    (_, sup1, _), (_, sup2, _) = rep.per_h
+    assert 5.9 < sup1 <= 6.0 and 3.45 < sup2 <= 3.5
+    assert rep.delta_lower == pytest.approx(1.0 / 3.5, abs=0.005)
+    # a minimum of two step sides is piecewise constant: scanned at its knots
+    other = g_step([1.0, 50.0], [0.0, 5.0, 300.0], horizon=200.0)
+    assert pointwise_min(steps, other).family.piecewise_constant
 
 
 def test_horizon_too_short():

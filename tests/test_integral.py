@@ -636,6 +636,17 @@ def test_mu_mass_without_jumps_matches_quadrature():
             assert mu_mass(mu, x1, x2) == pytest.approx(want, rel=1e-11)
 
 
+def test_mu_mass_of_a_sample_with_a_continuous_tail_takes_quadrature():
+    # the tail decays past the last sample: a piecewise sum from its knots
+    # read mu(3) on all of [3, 100] and gave 2.97 for a mass of 0.165
+    mu = sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2], tail=PowerLog(p=2.0))
+    for x1, x2 in [(3.0, 100.0), (0.0, 100.0), (0.25, 2.5)]:
+        jumps = [x for x in (0.5, 1.0, 2.0, 3.0) if x1 < x < x2] or None
+        want, _ = quad(lambda y: float(mu(y)), x1, x2, points=jumps, epsrel=1e-13, epsabs=0.0,
+                       limit=400)
+        assert mu_mass(mu, x1, x2) == pytest.approx(want, rel=1e-11)
+
+
 def test_log_S_grid_on_one_point_and_empty_panels():
     mu = power_log(p=0.5, q=1.0)
     ss = np.array([3.0, 3.0, 7.5])

@@ -189,6 +189,24 @@ def test_vanisher_envelope_tolerates_rounding_only():
         verify_construction(dataclasses.replace(s, step_values=raised))
 
 
+@pytest.mark.parametrize("build", [construct_vanisher, construct_dominator])
+def test_envelope_broken_on_a_sliver_of_any_step_fails(build):
+    # each step is moved past the envelope by far more than _slack, but only
+    # on the 1e-7 of it where the envelope is tightest: at t_n for the
+    # vanisher, just before t_{n+1} for the dominator
+    s = build(line_g(), 40)
+    bps = s.breakpoints
+    verify_construction(s)
+    for n in range(len(s.step_values)):
+        values = list(s.step_values)
+        if s.variant == "vanisher":
+            values[n] = math.sqrt(bps[n] + 1e-7)
+        else:
+            values[n] = (bps[n + 1] - 1e-7) ** 2
+        with pytest.raises(VerificationFailed, match="envelope"):
+            verify_construction(dataclasses.replace(s, step_values=tuple(values)))
+
+
 # ---------------------------------------------------------------------------
 # the staircases do what they were built for
 
@@ -321,6 +339,38 @@ def test_solver_settles_each_breakpoint_to_the_infimum(name, build):
     if s.variant == "vanisher" or name == "power_log_slow":
         assert settled >= 10
     verify_construction(s)
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_SOURCES) + ["line"])
+@pytest.mark.parametrize("build", [construct_vanisher, construct_dominator])
+def test_condition_t0_is_the_exact_crossing(name, build):
+    # past t0 the gap (source - staircase for the vanisher, staircase - source
+    # for the dominator) exceeds the threshold on every float up to the
+    # horizon; where t0 is a jump, the float below it does not
+    s = build(INVERSE_SOURCES[name]() if name != "line" else line_g(), n_steps=40)
+    stair, src = s.g(), s.source
+    sign = 1.0 if s.variant == "vanisher" else -1.0
+
+    def gap(t):
+        return sign * (src(t) - stair(t))
+
+    horizon, bps = stair.horizon_t, s.breakpoints
+    jumps = set(bps) | set(src.knots_t or ())
+    crossed = 0
+    for c, t0 in verify_construction(s).condition_t0:
+        c *= sign
+        d = max(1e-9, 2.0 * math.ulp(t0))
+        later = [k for k in bps if k > t0 + d] + [float(np.nextafter(k, -math.inf))
+                                                 for k in bps if k > t0 + d]
+        assert all(gap(t) > c for t in [t0 + d, horizon, *later]), (c, t0)
+        if t0 == bps[0]:
+            continue
+        crossed += 1
+        if t0 in jumps:
+            assert gap(float(np.nextafter(t0, -math.inf))) <= c < gap(t0), (c, t0)
+        else:  # a continuous gap meets c at t0
+            assert gap(t0 - d) <= c, (c, t0)
+    assert crossed == (3 if s.variant == "vanisher" else 0)
 
 
 def test_solver_bounded_past_the_horizon():
