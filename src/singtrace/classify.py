@@ -329,7 +329,9 @@ def dichotomy(A, B, cfg: ClassifyConfig | None = None) -> DichotomyResult:
     index 1.  Then a non trace class A falls outside the ideal of B
     (infinite), while a trace class A falls into its kernel (zero); the
     membership decisions are cross checked against the order-theoretic
-    module.
+    module.  Only their verdicts are read: with exact profiles on both
+    sides those follow from the profile order, and no witness grid is
+    built.
     """
     cfg = cfg or ClassifyConfig()
     report_a = classify(A, cfg)

@@ -8,11 +8,12 @@ by B is
 
 and its kernel consists of the f whose gap over some shifted copy of
 g_B exceeds every constant from some point on.  Since vertical shifts
-are free, strict slope dominance settles membership conclusively; the
-decisions below compare exact growth profiles when both sides carry
-them and otherwise evaluate each side once on a tail grid, honest about
-its horizon (Member needs the a = 0 gap to hold up on that grid,
-NonMember needs a slope refutation, anything else stays undecided).
+are free, strict slope dominance settles membership conclusively.  When
+both sides carry exact growth profiles, the verdict is their order
+alone, and the member's shift witness is checked on the tail grid only
+when first read.  Otherwise each side is evaluated once on a tail grid,
+honest about its horizon (Member needs the a = 0 gap to hold up on that
+grid, NonMember needs a slope refutation, anything else stays undecided).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +43,7 @@ _HORIZON_T = 200.0
 _GRID_POINTS = 1200
 _SLOPE_MARGIN = 0.05
 _KERNEL_THRESHOLDS = (1.0, 10.0, 100.0)
+_HORIZON_NOTE = "verified on the trusted horizon only"
 
 
 @dataclass
@@ -62,11 +65,29 @@ class SlopeCertificate:
     detail: str = ""
 
 
+class _Deferred:
+    """A dataclass field that may hold a partial, called on the first read
+    (repr, ==, asdict and replace read it too) and replaced by its value."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        if isinstance(value := obj.__dict__[self.name], partial):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class IdealDecision:
     verdict: str
     mode: str  # exact | horizon
-    witness: ShiftWitness | None = None
+    witness: ShiftWitness | None = _Deferred()  # exact members: built when first read
     refutation: SlopeCertificate | None = None
     note: str = ""
     dominating: GFunction | None = None
@@ -136,10 +157,11 @@ def in_kernel(ga, gb) -> IdealDecision:
 
 
 def _decide(ga, gb, kernel) -> IdealDecision:
-    """Finite rank exits and the slope refutations both decisions share.
+    """Finite rank exits, then the exact or the horizon decision of each.
 
-    A growth deficit keeps ga out of the ideal, so out of its kernel too;
-    what is left goes to the exact or the horizon decision of each.
+    With exact profiles on both sides the verdict is their order alone;
+    otherwise a growth deficit fitted on the tail grid keeps ga out of the
+    ideal, so out of its kernel too.
     """
     ga, gb = g_transform(ga), g_transform(gb)
     if ga.finite_rank:
@@ -153,13 +175,9 @@ def _decide(ga, gb, kernel) -> IdealDecision:
         return IdealDecision(NON_MEMBER, "exact", note=note)
 
     pa, pb = ga.profile, gb.profile
-    order = None if pa is None or pb is None else _profile_order(pa, pb)
-    if order == "lt":
-        return _refuted("exact", pa.slope, pb.slope,
-                        detail="no shift repairs a growth rate deficit")
+    if pa is not None and pb is not None:
+        return _exact(ga, gb, pa, pb, kernel)
     ts, T = _tail_grid(ga, gb)
-    if order is not None:
-        return (_exact_kernel if kernel else _exact_ideal)(ga, gb, pa, pb, order, ts, T)
     ya, yb = ga.eval(ts), gb.eval(ts)
     sa, sb = _fit_slope(ts, ya), _fit_slope(ts, yb)
     if math.isnan(sa) or math.isnan(sb):
@@ -169,11 +187,9 @@ def _decide(ga, gb, kernel) -> IdealDecision:
     return (_horizon_kernel if kernel else _horizon_ideal)(ya - yb, sa, sb, ts, T)
 
 
-def _member(mode, ts, T, a=0.0, b=0.0, ladder=(), note="") -> IdealDecision:
-    """MEMBER, witnessed by the shift (a, b) checked on the grid ts up to T."""
-    witness = ShiftWitness(a, b, t0=float(ts[0]), horizon=T, n_points=len(ts),
-                           thresholds=ladder)
-    return IdealDecision(MEMBER, mode, witness=witness, note=note)
+def _grid_witness(ts, T, a=0.0, b=0.0, ladder=()) -> ShiftWitness:
+    """The shift (a, b) checked on the grid ts up to T."""
+    return ShiftWitness(a, b, t0=float(ts[0]), horizon=T, n_points=len(ts), thresholds=ladder)
 
 
 def _refuted(mode, slope_a, slope_b, window=(), detail="") -> IdealDecision:
@@ -199,43 +215,56 @@ def _profile_order(pa, pb):
     return "exp_pair" if pa.slope == math.inf else "eq_const"
 
 
-def _exact_ideal(ga, gb, pa, pb, order, ts, T) -> IdealDecision:
-    if order == "exp_pair":
+def _exact(ga, gb, pa, pb, kernel) -> IdealDecision:
+    """Verdict, note and refutation from the profile order; a member's
+    witness is checked on the tail grid when first read."""
+    order = _profile_order(pa, pb)
+    if order == "lt":
+        return _refuted("exact", pa.slope, pb.slope,
+                        detail="no shift repairs a growth rate deficit")
+    if order == "eq_const" and kernel:
+        # same slope and log term (a larger log term orders the pair "gt")
+        return _refuted("exact", pa.slope, pb.slope,
+                        detail="equal growth: the shifted gap stays bounded")
+    a, note = 0.0, ""
+    if order == "exp_pair" and kernel:  # shift the rate strictly below
+        a = math.log(pb.rate / pa.rate) + 1.0
+        note = "a horizontal shift scales the rate below any multiple"
+    elif order == "exp_pair":
         a = math.log(pb.rate / pa.rate)
-        gaps = ga.eval(ts) - gb.eval(ts - a)
-        return _member("exact", ts, T, a, min(0.0, float(np.min(gaps))),
-                       note="exponential profiles generate one ideal")
-    min_gap = float(np.min(ga.eval(ts) - gb.eval(ts)))
-    if order == "gt":
-        return _member("exact", ts, T, b=0.0 if min_gap >= 0.0 else min_gap - 1e-9)
-    # same slope and log term: the gap converges to the constant difference
-    return _member("exact", ts, T, b=min(min_gap, pa.const - pb.const) - 0.5,
-                   note="equal growth: bounded gap absorbed by the vertical shift")
+        note = "exponential profiles generate one ideal"
+    elif order == "eq_const":
+        note = "equal growth: bounded gap absorbed by the vertical shift"
+    witness = partial(_exact_witness, ga, gb, a, order, kernel, pa.const - pb.const)
+    return IdealDecision(MEMBER, "exact", witness=witness, note=note)
+
+
+def _exact_witness(ga, gb, a, order, kernel, const_gap) -> ShiftWitness:
+    """The gap over gb shifted by a on the tail grid: its threshold ladder
+    for the kernel, else the vertical shift b that absorbs it."""
+    ts, T = _tail_grid(ga, gb)
+    gaps = ga.eval(ts) - gb.eval(ts - a)
+    if kernel:
+        return _grid_witness(ts, T, a, ladder=_threshold_ladder(gaps, ts, _KERNEL_THRESHOLDS))
+    min_gap = float(np.min(gaps))
+    if order == "exp_pair":
+        b = min(0.0, min_gap)
+    elif order == "gt":
+        b = 0.0 if min_gap >= 0.0 else min_gap - 1e-9
+    else:  # same slope and log term: the gap converges to the constant difference
+        b = min(min_gap, const_gap) - 0.5
+    return _grid_witness(ts, T, a, b)
 
 
 def _horizon_ideal(gaps, sa, sb, ts, T) -> IdealDecision:
     if np.all(gaps > -math.inf) and _gap_trend_stable(gaps):  # +inf: ga overflowed
         b = float(np.min(gaps))
-        return _member("horizon", ts, T, b=b if b < 0 else 0.0,
-                       note="verified on the trusted horizon only")
+        return IdealDecision(MEMBER, "horizon", witness=_grid_witness(ts, T, b=b if b < 0 else 0.0),
+                             note=_HORIZON_NOTE)
     return IdealDecision(
         UNDECIDED, "horizon",
         note=f"fitted slopes {sa:.4g} vs {sb:.4g}: gap drifts down without a slope margin",
     )
-
-
-def _exact_kernel(ga, gb, pa, pb, order, ts, T) -> IdealDecision:
-    if order == "eq_const":
-        # same slope and log term (a larger log term orders the pair "gt")
-        return _refuted("exact", pa.slope, pb.slope,
-                        detail="equal growth: the shifted gap stays bounded")
-    a, note = 0.0, ""
-    if order == "exp_pair":  # shift the rate strictly below
-        a = math.log(pb.rate / pa.rate) + 1.0
-        note = "a horizontal shift scales the rate below any multiple"
-    gaps = ga.eval(ts) - gb.eval(ts - a)
-    ladder = _threshold_ladder(gaps, ts, _KERNEL_THRESHOLDS)
-    return _member("exact", ts, T, a, ladder=ladder, note=note)
 
 
 def _horizon_kernel(gaps, sa, sb, ts, T) -> IdealDecision:
@@ -245,8 +274,8 @@ def _horizon_kernel(gaps, sa, sb, ts, T) -> IdealDecision:
     increasing = full and crossed[-1] > crossed[0]
     slope_dominant = sa > sb + _SLOPE_MARGIN
     if (slope_dominant and ladder[0][2]) or (full and increasing):
-        return _member("horizon", ts, T, ladder=ladder,
-                       note="verified on the trusted horizon only")
+        return IdealDecision(MEMBER, "horizon", witness=_grid_witness(ts, T, ladder=ladder),
+                             note=_HORIZON_NOTE)
     if not slope_dominant and abs(sa - sb) <= _SLOPE_MARGIN and not ladder[-1][2]:
         return IdealDecision(
             UNDECIDED, "horizon",

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
 from singtrace import ideals
+from singtrace.classify import dichotomy
 from singtrace.errors import NotRegular
 from singtrace.functions import (
     GFunction,
@@ -299,24 +303,130 @@ def test_fit_slope_matches_polyfit():
     assert checked == 80
 
 
+EXACT_ORDERS = {
+    "lt": (power_log(p=1), power_log(p=2)),
+    "gt": (power_log(p=2), power_log(p=1)),
+    "eq_const": (power_log(p=1, q=0.5), shift(g_of(p=1, q=0.5), 0.0, 1.5)),
+    "exp_pair": (exponential(2.0), exponential(0.5)),
+}
+
+
 def test_exact_growth_refutation_builds_no_tail_grid(monkeypatch):
-    # the "lt" order refutes from the profiles alone; every other exact
-    # decision still reads the grid
-    want = {
-        in_principal_ideal: repr(in_principal_ideal(power_log(p=1), power_log(p=2))),
-        in_kernel: repr(in_kernel(power_log(p=1), power_log(p=2))),
-    }
+    # exact profiles settle every verdict from their order alone; the
+    # tail grid is built only when a member's witness is read
+    want = {(order, decide): decide(*pair)
+            for order, pair in EXACT_ORDERS.items() for decide in (in_principal_ideal, in_kernel)}
 
     def no_grid(*args):
         raise AssertionError("tail grid built")
 
     monkeypatch.setattr(ideals, "_tail_grid", no_grid)
-    for decide, text in want.items():
-        dec = decide(power_log(p=1), power_log(p=2))
-        assert dec.verdict == NON_MEMBER and repr(dec) == text
-        assert dec.refutation.detail == "no shift repairs a growth rate deficit"
-    with pytest.raises(AssertionError, match="tail grid built"):
-        in_principal_ideal(power_log(p=2), power_log(p=1))
+    for (order, decide), ref in want.items():
+        dec = decide(*EXACT_ORDERS[order])
+        assert (dec.verdict, dec.mode, dec.refutation, dec.note) == (
+            ref.verdict, ref.mode, ref.refutation, ref.note)
+        if dec.verdict == NON_MEMBER:
+            assert order == "lt" or (order, decide) == ("eq_const", in_kernel)
+            assert dec.witness is None
+        else:
+            with pytest.raises(AssertionError, match="tail grid built"):
+                dec.witness
+    assert dichotomy(power_log(p=2), power_log(p=1)).outcome == "zero"
+    assert face_axioms_check([g_of(p=1), g_of(p=2), g_of(p=1, q=1)]).ok
+
+
+# Reprs of exact decisions as computed with an eager witness grid.
+_EAGER_REPRS = {
+    ("gt", in_principal_ideal):
+        "IdealDecision(verdict='member', mode='exact', witness=ShiftWitness(a=0.0, b=0.0, "
+        "t0=100.0, horizon=200.0, n_points=1200, thresholds=()), refutation=None, note='', "
+        "dominating=None)",
+    ("gt", in_kernel):
+        "IdealDecision(verdict='member', mode='exact', witness=ShiftWitness(a=0.0, b=0.0, "
+        "t0=100.0, horizon=200.0, n_points=1200, thresholds=((1.0, 100.0, True), "
+        "(10.0, 100.0, True), (100.0, 100.08340283569642, True))), refutation=None, note='', "
+        "dominating=None)",
+    ("eq_const", in_principal_ideal):
+        "IdealDecision(verdict='member', mode='exact', witness=ShiftWitness(a=0.0, "
+        "b=-2.000000000000014, t0=100.0, horizon=200.0, n_points=1200, thresholds=()), "
+        "refutation=None, note='equal growth: bounded gap absorbed by the vertical shift', "
+        "dominating=None)",
+    ("eq_const", in_kernel):
+        "IdealDecision(verdict='non_member', mode='exact', witness=None, "
+        "refutation=SlopeCertificate(slope_a=1, slope_b=1, basis='exact', window=(), "
+        "detail='equal growth: the shifted gap stays bounded'), note='', dominating=None)",
+    ("exp_pair", in_principal_ideal):
+        "IdealDecision(verdict='member', mode='exact', witness=ShiftWitness("
+        "a=-1.3862943611198906, b=-5.521397077432451e+72, t0=100.0, horizon=200.0, "
+        "n_points=1200, thresholds=()), refutation=None, "
+        "note='exponential profiles generate one ideal', dominating=None)",
+    ("exp_pair", in_kernel):
+        "IdealDecision(verdict='member', mode='exact', witness=ShiftWitness("
+        "a=-0.3862943611198906, b=0.0, t0=100.0, horizon=200.0, n_points=1200, "
+        "thresholds=((1.0, 100.0, True), (10.0, 100.0, True), (100.0, 100.0, True))), "
+        "refutation=None, note='a horizontal shift scales the rate below any multiple', "
+        "dominating=None)",
+    ("gt_low", in_principal_ideal):
+        "IdealDecision(verdict='member', mode='exact', witness=ShiftWitness(a=0.0, "
+        "b=-400.000000001, t0=100.0, horizon=200.0, n_points=1200, thresholds=()), "
+        "refutation=None, note='', dominating=None)",
+    ("gt_low", in_kernel):
+        "IdealDecision(verdict='member', mode='exact', witness=ShiftWitness(a=0.0, b=0.0, "
+        "t0=100.0, horizon=200.0, n_points=1200, thresholds=((1.0, None, False), "
+        "(10.0, None, False), (100.0, None, False))), refutation=None, note='', "
+        "dominating=None)",
+}
+
+
+@pytest.mark.parametrize("order, decide", list(_EAGER_REPRS), ids=lambda v: getattr(v, "__name__", v))
+def test_exact_decision_reprs_match_the_eager_grid(order, decide):
+    pairs = {**EXACT_ORDERS, "gt_low": (shift(g_of(p=2), 0.0, -500.0), power_log(p=1))}
+    dec = decide(*pairs[order])
+    unread = pickle.loads(pickle.dumps(dec))
+    assert repr(dec) == _EAGER_REPRS[order, decide]
+    assert repr(unread) == _EAGER_REPRS[order, decide]
+
+
+def _exact_family(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return g_of(p=rng.choice([0.5, 1.0, 2.0]), q=rng.choice([0.0, 0.5, -0.25]),
+                    scale=rng.choice([0.5, 1.0, 3.0]))
+    if kind == 1:
+        return g_transform(pure_power(p=rng.choice([0.5, 1.0, 2.0]), scale=rng.choice([1.0, 2.0])))
+    if kind == 2:
+        return g_transform(exponential(rng.choice([0.5, 1.0, 2.0])))
+    if kind == 3:
+        return shift(g_of(p=rng.choice([1.0, 2.0])), rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return g_transform(dilate(power_log(p=rng.choice([1.0, 2.0])), rng.choice([0.5, 2.0])))
+
+
+def test_a_witness_read_late_matches_one_read_at_once():
+    rng = random.Random(29)
+    for _ in range(300):
+        ga, gb = _exact_family(rng), _exact_family(rng)
+        for decide in (in_principal_ideal, in_kernel):
+            now = decide(ga, gb)
+            _ = now.witness  # read at once
+            late = decide(ga, gb)
+            pickled, copied = pickle.dumps(late), copy.deepcopy(late)
+            assert late == now and repr(late) == repr(now)
+            assert dataclasses.asdict(late) == dataclasses.asdict(now)
+            assert repr(pickle.loads(pickled)) == repr(now) == repr(copied)
+            if now.verdict == MEMBER:
+                assert now.mode == "exact" and now.witness.n_points == 1200
+
+
+def test_regular_domination_keeps_its_dominating_shift():
+    base = power_log(p=1, q=0.5)
+    dec = regular_domination(shift(g_transform(base), 0.0, 1.5), base)
+    assert dec.witness.b == 0.9999999999999858
+    assert dec.dominating.profile.const == 0.9999999999999858
+    got = dec.dominating.eval(np.array([1.0, 10.0, 150.0])).tolist()
+    assert got == [2.9564416976294536, 12.151422118758148, 153.50531764704812]
+    low = regular_domination(shift(g_of(p=2), 0.0, -500.0), power_log(p=1))
+    assert low.dominating.eval(np.array([1.0, 10.0, 150.0])).tolist() == [
+        -398.30685282044004, -389.99987659881026, -250.000000001]
 
 
 # ---------------------------------------------------------------------------
