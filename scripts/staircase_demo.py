@@ -46,8 +46,7 @@ def main(argv=None):
             print(f"kernel membership : {dec.verdict}")
         else:
             dec = in_principal_ideal(line, s.g())
-            print(f"ideal membership  : {dec.verdict} "
-                  f"(fitted slopes {dec.refutation.slope_a:.3g} vs {dec.refutation.slope_b:.3g})")
+            print(f"ideal membership  : {dec.verdict} ({dec.mode}, {dec.refutation.basis} basis)")
         print()
     return 0
 

@@ -26,6 +26,7 @@ is the shift (a, b) = (-log lam, -log lam).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,13 +79,14 @@ def log_e_plus(t):
 
     Where |t - 1| >= 40 the correction log1p(e^-|t - 1|) < 4.3e-18 is
     below half an ulp of max(t, 1), so that is the answer; only the
-    entries near 1 pay for logaddexp.  A 0-d input, the scalar g of root
-    finding, is tested as a Python float.
+    entries near 1 pay for logaddexp.  A float, the scalar g of root
+    finding, stays a float: max there, numpy's logaddexp near 1.
     """
+    if isinstance(t, float):
+        return max(t, 1.0) if abs(t - 1.0) >= 40.0 else logaddexp(t, 1.0)
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
-        x = float(t)
-        return np.float64(max(x, 1.0)) if abs(x - 1.0) >= 40.0 else logaddexp(t, 1.0)
+        return log_e_plus(float(t))
     near = ~(np.abs(t - 1.0) >= 40.0)  # nan is near: logaddexp keeps it
     if near.all():
         return logaddexp(t, 1.0)
@@ -314,6 +316,7 @@ class Family:
     horizon_t = None  # None: trusted on all of t (or finite rank)
     profile = None  # exact GrowthProfile, when one is known
     rank = None  # total mass of the support of a finite rank profile
+    construction = None  # a staircase's steps: the rule that built them (staircase module)
 
     @property
     def trace_class(self):
@@ -327,7 +330,14 @@ class Family:
 
     @staticmethod
     def check_finite(what, *values, top_inf=False):
-        """Reject nan and infinite input; top_inf lets +inf through."""
+        """Reject nan and infinite input; top_inf lets +inf through.  The test
+        runs in C (map over math's predicates); a failure names the first culprit."""
+        if top_inf:
+            ok = not any(map(math.isnan, values)) and -math.inf not in values
+        else:
+            ok = all(map(math.isfinite, values))
+        if ok:
+            return
         for v in values:
             if not (math.isfinite(v) or (top_inf and v == math.inf)):
                 raise NonFinite(f"{what} must be finite, got {v}")
@@ -340,7 +350,10 @@ class Family:
         """Jump locations in t = log x, taken with np.log as the step lookups take
         them; edges_x keeps the exact x values."""
         edges = self.edges_x()
-        return None if edges is None else tuple(np.log([e for e in edges if e > 0]).tolist())
+        if edges is None:
+            return None
+        edges = np.array(edges, dtype=float)
+        return tuple(np.log(edges[edges > 0]).tolist())
 
     def log_S_up(self, s):
         """Closed form of log S_up at s = log x, or None."""
@@ -518,8 +531,9 @@ class PowerLog(Family):
             return -math.inf
         else:
             w = c / q if p == 0 else math.log(2.0 * c / p)
+            log_p = math.log(p) if p > 0 else 0.0
             for _ in range(64 if p > 0 else 0):
-                e = math.exp(w + math.log(p))
+                e = math.exp(w + log_p)
                 step = (e + q * w - c) / (e + q)
                 w -= step
                 if not step > 1e-9 * w:
@@ -604,7 +618,8 @@ class PurePower(Family):
         return np.minimum(self.cap, tail)
 
     def g(self, t):
-        t = np.asarray(t, dtype=float)
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
         return np.maximum(self._floor, self.p * t - math.log(self.scale))
 
     @property
@@ -765,18 +780,18 @@ class StepMu(_StepFamily):
     values: tuple
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bp = tuple(map(float, self.breakpoints))
+        vals = tuple(map(float, self.values))
         self.check_finite("step breakpoints and values", *bp, *vals)
         if not bp or bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if not all(map(operator.lt, bp, bp[1:])):
             raise ValueError("breakpoints must increase strictly")
         if len(vals) != len(bp) - 1:
             raise ValueError("need one value per bounded piece")
-        if any(v < 0 for v in vals):
+        if min(vals, default=0.0) < 0:
             raise NegativeValue("step values must be nonnegative")
-        if any(v1 < v2 for v1, v2 in zip(vals, vals[1:])):
+        if not all(map(operator.ge, vals, vals[1:])):
             raise ValueError("step values must be non-increasing")
         # zero-valued pieces carry no support; trim them into the tail
         while vals and vals[-1] == 0.0:
@@ -824,19 +839,19 @@ class GStep(_StepFamily):
     label: str = ""
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bp = tuple(map(float, self.breakpoints))
+        vals = tuple(map(float, self.values))
         self.check_finite("g step breakpoints", *bp)
         self.check_finite("g step values", *vals, top_inf=True)
         if self.horizon is not None:
             self.check_finite("g step horizon", self.horizon)
         if not bp:
             raise ValueError("need at least one breakpoint")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if not all(map(operator.lt, bp, bp[1:])):
             raise ValueError("breakpoints must increase strictly")
         if len(vals) != len(bp) + 1:
             raise ValueError("need len(breakpoints) + 1 values")
-        if any(v2 < v1 for v1, v2 in zip(vals, vals[1:])):
+        if not all(map(operator.le, vals, vals[1:])):
             raise ValueError("values must be non-decreasing")
         if vals[0] == vals[-1] < math.inf:
             raise NotInfinitesimal("constant g gives a non-vanishing profile")
@@ -896,16 +911,16 @@ class SampledMu(_StepFamily):
     tail: Family | None = None
 
     def __post_init__(self):
-        g = tuple(float(x) for x in self.grid)
-        v = tuple(float(x) for x in self.values)
+        g = tuple(map(float, self.grid))
+        v = tuple(map(float, self.values))
         self.check_finite("sample grid and values", *g, *v)
         if len(g) != len(v) or len(g) < 2:
             raise ValueError("need matching grid/values with at least 2 samples")
-        if g[0] < 0 or any(b <= a for a, b in zip(g, g[1:])):
+        if g[0] < 0 or not all(map(operator.lt, g, g[1:])):
             raise ValueError("grid must be nonnegative and strictly increasing")
-        if any(x < 0 for x in v):
+        if min(v) < 0:
             raise NegativeValue("sample values must be nonnegative")
-        if any(b > a for a, b in zip(v, v[1:])):
+        if not all(map(operator.ge, v, v[1:])):
             raise ValueError("sample values must be non-increasing")
         if self.tail is not None and not isinstance(self.tail, Family):
             raise TypeError(f"a sampled tail must be a Family, got {type(self.tail)!r}")
@@ -1186,7 +1201,10 @@ class GFunction(_View):
     """Element of G: a family plus a shift, g(t) = b + family.g(t - a)."""
 
     def eval(self, t):
-        return self.b + self.family.g(np.asarray(t, dtype=float) - self.a)
+        """g at t; a float t stays a float through the families that take one."""
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
+        return self.b + self.family.g(t - self.a)
 
     @property
     def profile(self):

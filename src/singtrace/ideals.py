@@ -60,7 +60,7 @@ class ShiftWitness:
 class SlopeCertificate:
     slope_a: float
     slope_b: float
-    basis: str  # exact | fitted
+    basis: str  # exact | fitted | construction
     window: tuple = ()
     detail: str = ""
 
@@ -174,6 +174,9 @@ def _decide(ga, gb, kernel) -> IdealDecision:
         note = "finite rank base" if kernel else "finite rank base: its ideal is the finite rank ideal"
         return IdealDecision(NON_MEMBER, "exact", note=note)
 
+    own = gb.family.construction  # a staircase against its own source: the rule decides
+    if own is not None and (dec := own.membership(ga, gb, kernel)) is not None:
+        return dec
     pa, pb = ga.profile, gb.profile
     if pa is not None and pb is not None:
         return _exact(ga, gb, pa, pb, kernel)

@@ -28,21 +28,36 @@ Every family inverts its own g exactly (GFunction.inverse_point): a
 closed form for lines, power-logs and exponentials, the start of the
 first step above the level for step profiles, the later of the two
 sides' answers for a minimum.  The breakpoint is that inverse or the
-margin point t_n + n + 1, whichever is later, at 1.05 scalar g
-evaluations per breakpoint.
+margin point t_n + n + 1, whichever is later.  After a step the margin
+settled, g at the next margin point is read first: if it already exceeds
+the level, the inverse lies at or before it and is not needed.  That is
+every dominator step of a line or a power-log, so both variants take
+about one scalar g evaluation per breakpoint.
+
+The staircase's step profile keeps the StaircaseRule that built it, so
+the ideal decisions answer exactly for a staircase against its own
+source (StaircaseRule.membership): the proof needs only the gap rule and
+the envelope, which verify_construction checks with the same memoized code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import Bounded, ConstructionRange, FiniteRank, TooFewSteps, VerificationFailed
 from .functions import GFunction, _below_sum, g_step, g_transform, shift
-from .ideals import _KERNEL_THRESHOLDS
+from .ideals import (
+    _KERNEL_THRESHOLDS,
+    MEMBER,
+    NON_MEMBER,
+    IdealDecision,
+    ShiftWitness,
+    SlopeCertificate,
+)
 from .indices import matuszewska
 
 VANISHER = "vanisher"
@@ -72,20 +87,18 @@ class StaircaseConstruction:
 
     @cached_property
     def _g(self) -> GFunction:
-        bps = self.breakpoints
-        values = (self.step_values[0],) + self.step_values
-        if self.variant == VANISHER:
-            horizon = bps[-1] + len(bps) + 1
-        else:
-            horizon = bps[-1]
-            bps = bps[:-1]
-        return g_step(
-            bps,
-            values,
-            horizon=horizon,
+        rule = StaircaseRule(self.variant, self.source, self.normalization_offset,
+                             self.breakpoints, self.step_values)
+        stair = g_step(
+            self.breakpoints if self.variant == VANISHER else self.breakpoints[:-1],
+            (self.step_values[0],) + self.step_values,
+            horizon=rule.end,
             integrable=_tail_integrability(self.variant, self.source),
             label=f"{self.variant} staircase",
         )
+        # an attribute, not a field: equality, repr and replace see the steps alone
+        object.__setattr__(stair.family, "construction", rule)
+        return stair
 
     def normalized_source(self) -> GFunction:
         return shift(self.source, 0.0, self.normalization_offset)
@@ -124,23 +137,35 @@ def _construct(variant: str, source, n_steps: int) -> StaircaseConstruction:
     horizon = g_src.horizon_t
     ts = [_START_T]
     gs = [gA(_START_T)]  # gA at each breakpoint
+    margin_settled = False  # the margin point t_n + n + 1 settled the last step
     for n in range(1, n_steps):
         level = phi_inv(phi(gs[-1]) + (n + 1))  # g must exceed this level
-        t_next = gA.inverse_point(level)
-        if t_next is None:
-            raise Bounded(f"g never exceeds {level:.6g} on the trusted range (up to {horizon:.3g})")
-        t_next = max(t_next, ts[-1] + (n + 1))
-        if not math.isfinite(t_next):
-            raise ConstructionRange(f"breakpoint {n + 1} left the float range")
+        margin = ts[-1] + (n + 1)
+        g_next = gA(margin) if margin_settled else None
+        if g_next is not None and g_next > level:
+            t_next = margin  # the inverse lies at or before it
+        else:
+            t_next = gA.inverse_point(level)
+            if t_next is None:
+                raise Bounded(f"g never exceeds {level:.6g} on the trusted range (up to {horizon:.3g})")
+            t_next = max(t_next, margin)
+            if not math.isfinite(t_next):
+                raise ConstructionRange(f"breakpoint {n + 1} left the float range")
         if horizon is not None and t_next > horizon:
             raise Bounded("construction ran past the trusted horizon of the source")
+        margin_settled = t_next == margin
+        if g_next is None or not margin_settled:
+            g_next = gA(t_next)
         ts.append(float(t_next))
-        gs.append(gA(t_next))
+        gs.append(g_next)
 
     if variant == VANISHER:
         values = tuple(math.sqrt(v) for v in gs)
     else:
-        values = tuple(v ** 2 for v in gs[1:])
+        try:
+            values = tuple(v ** 2 for v in gs[1:])  # not v * v, which differs in the last bit
+        except OverflowError:  # a finite v squared past the floats
+            values = (math.inf,)
     if not all(math.isfinite(v) for v in values):
         raise ConstructionRange("step values left the float range")
 
@@ -189,6 +214,130 @@ def _slack(bound: np.ndarray) -> np.ndarray:
     return np.fmax(1e-12, 4.0 * np.spacing(np.abs(bound)))
 
 
+@dataclass(frozen=True, eq=False)
+class StaircaseRule:
+    """What a staircase's steps were built from, kept by its step family.
+
+    The family holds this and this holds no StaircaseConstruction (whose
+    view holds the family), so no reference cycle forms.  The checks below
+    are verify_construction's own, memoized: verification and the ideal
+    decisions run each once per construction.
+    """
+
+    variant: str
+    source: GFunction  # before the offset
+    offset: float
+    breakpoints: tuple
+    step_values: tuple
+
+    @property
+    def end(self) -> float:
+        """Where the staircase's trusted range ends: the vanisher's last step
+        holds for its margin, the dominator's last breakpoint closes its last step."""
+        bps = self.breakpoints
+        return bps[-1] + len(bps) + 1 if self.variant == VANISHER else bps[-1]
+
+    @cached_property
+    def gaps(self):
+        """(gap_margins, phi of g_A at the breakpoints) once both gap rules hold
+        with zero tolerance; raises VerificationFailed else."""
+        bps = np.asarray(self.breakpoints)
+        ns = np.arange(1, len(bps))
+        gaps = np.diff(bps)
+        if not (gaps > ns).all():
+            raise VerificationFailed("breakpoint_gaps: t_{n+1} - t_n > n violated")
+        gA = shift(self.source, 0.0, self.offset)
+        phi_vals = np.sqrt(gA.eval(bps)) if self.variant == VANISHER else gA.eval(bps) ** 2
+        phi_gaps = np.diff(phi_vals)
+        if not (phi_gaps > ns).all():
+            raise VerificationFailed("phi_gaps: transformed value gaps must exceed n")
+        return (float((gaps - ns).min()), float((phi_gaps - ns).min())), phi_vals
+
+    @cached_property
+    def envelope(self) -> bool:
+        """True once every step lies within rounding of its power of g_A;
+        raises VerificationFailed else."""
+        phi_vals, w = self.gaps[1], np.asarray(self.step_values)
+        if self.variant == VANISHER:
+            if not (w <= phi_vals + _slack(phi_vals)).all():
+                raise VerificationFailed("envelope: staircase exceeds sqrt of the source")
+        elif not (w >= phi_vals[1:] - _slack(phi_vals[1:])).all():
+            raise VerificationFailed("envelope: staircase drops below the squared source")
+        return True
+
+    @cached_property
+    def proved(self) -> bool:
+        """Whether the gap rule and the envelope hold: all the membership proof uses."""
+        try:
+            return self.envelope
+        except VerificationFailed:
+            return False
+
+    @cached_property
+    def _condition(self):
+        """(ends, least, cond, cs): the kernel (vanisher) or exclusion
+        (dominator) condition, least on step n at least[n] and at the end cond[-1]."""
+        bps, w, src = np.asarray(self.breakpoints), np.asarray(self.step_values), self.source
+        if self.variant == VANISHER:
+            ends = np.append(bps[1:], self.end)  # step n holds on [t_n, ends[n]]
+            # source - staircase, which must exceed every c: least at each t_n, then at the end
+            cond = src.eval(np.append(bps, ends[-1])) - np.append(w, w[-1])
+            return ends, cond[:-1], cond, _KERNEL_THRESHOLDS
+        # exclusion, source < c + staircase: least just below each t_{n+1}, and at t_N
+        cond = w - src.eval(np.append(np.nextafter(bps[1:-1], -np.inf), bps[-1]))
+        return bps[1:], cond, cond, tuple(-c for c in _KERNEL_THRESHOLDS)
+
+    @cached_property
+    def crossings(self) -> tuple:
+        """(|c|, t0) per threshold c: past t0 the condition exceeds c on the
+        whole staircase, t0 None where it is not met at the end."""
+        ends, least, cond, cs = self._condition
+        bps, w, src = np.asarray(self.breakpoints), np.asarray(self.step_values), self.source
+        out = []
+        for c in cs:
+            t0 = None
+            if cond[-1] > c:
+                failing = np.flatnonzero(least <= c)
+                t0 = ends[failing[-1]] if len(failing) else bps[0]
+                if len(failing) and self.variant == VANISHER:
+                    # source - w_n > c just where the source exceeds _below_sum(-w_n, c)
+                    n = failing[-1]
+                    t0 = min(max(src.inverse_point(_below_sum(-w[n], c)), bps[n]), t0)
+                t0 = float(t0)
+            out.append((abs(c), t0))
+        return tuple(out)
+
+    def membership(self, ga: GFunction, gb: GFunction, kernel: bool) -> IdealDecision | None:
+        """The exact decision for this staircase gb against its own source ga,
+        or None where the proof does not apply (another pair, a shifted view, a
+        source with a horizon, or a staircase failing its gap or envelope check).
+
+        The vanisher has g <= sqrt(g_A) and g_A - sqrt(g_A) diverges, so the
+        source is a kernel member at a = 0.  The dominator holds g_A(t_{n+1})^2
+        on steps longer than any shift a, and that outgrows g_A + |b|: no
+        shifted copy lies below the source, which stays outside the ideal.
+        """
+        if gb.a or gb.b or ga.horizon_t is not None or ga != self.source or not self.proved:
+            return None
+        if self.variant == VANISHER:
+            return IdealDecision(MEMBER, "exact", witness=partial(self._witness, kernel),
+                                 note="the vanisher's steps stay below sqrt(g_A)")
+        detail = "the dominator's steps g_A(t_{n+1})^2 outgrow every shift of the source"
+        return IdealDecision(NON_MEMBER, "exact",
+                             refutation=SlopeCertificate(math.nan, math.nan, "construction",
+                                                         detail=detail))
+
+    def _witness(self, kernel: bool) -> ShiftWitness:
+        """The vanisher's shift a = 0 from its first breakpoint on, for every t:
+        the kernel's threshold crossings, or for the ideal the least gap as b
+        (the gap at each later breakpoint is larger)."""
+        if kernel:
+            ladder = tuple((c, t0, t0 is not None) for c, t0 in self.crossings)
+            return ShiftWitness(0.0, 0.0, self.breakpoints[0], math.inf, 0, ladder)
+        b = min(0.0, float(np.min(self._condition[1])))
+        return ShiftWitness(0.0, b, self.breakpoints[0], math.inf, 0)
+
+
 def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
     """Re-derive every promised property of a staircase from scratch.
 
@@ -198,56 +347,24 @@ def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
     condition on a c ladder.  Raises VerificationFailed naming the first
     violated check.  Steps are constant and the source nondecreasing, so each
     check reads one point per step (t_n, or t_{n+1} and the float below), and
-    each t0 is a knot or one inverse_point crossing of the source."""
-    bps = np.asarray(s.breakpoints)
-    ns = np.arange(1, len(bps))
-
-    gaps = np.diff(bps)
-    if not np.all(gaps > ns):
-        raise VerificationFailed("breakpoint_gaps: t_{n+1} - t_n > n violated")
-
-    gA = s.normalized_source()
-    phi_vals = np.sqrt(gA.eval(bps)) if s.variant == VANISHER else gA.eval(bps) ** 2
-    phi_gaps = np.diff(phi_vals)
-    if not np.all(phi_gaps > ns):
-        raise VerificationFailed("phi_gaps: transformed value gaps must exceed n")
-    gap_margins = (float(np.min(gaps - ns)), float(np.min(phi_gaps - ns)))
-
+    each t0 is a knot or one inverse_point crossing of the source.  The
+    checks are the staircase's StaircaseRule's, computed once per construction."""
     stair = s.g()
+    rule = stair.family.construction
+    gap_margins, _ = rule.gaps
+
     rep = matuszewska(stair)
     if not (rep.delta_lower <= _DELTA_LOWER_MAX and rep.delta_upper >= _DELTA_UPPER_MIN):
         raise VerificationFailed(
             f"indices: ({rep.delta_lower:.4g}, {rep.delta_upper:.4g}) "
             f"outside [<= {_DELTA_LOWER_MAX}, >= {_DELTA_UPPER_MIN}]"
         )
+    envelope_ok = rule.envelope
 
-    w, src = np.asarray(s.step_values), s.source
-    if s.variant == VANISHER:
-        if not np.all(w <= phi_vals + _slack(phi_vals)):
-            raise VerificationFailed("envelope: staircase exceeds sqrt of the source")
-        ends = np.append(bps[1:], stair.horizon_t)  # step n holds on [t_n, ends[n]]
-        # source - staircase, which must exceed every c: least at each t_n, then at the end
-        cond = src.eval(np.append(bps, ends[-1])) - np.append(w, w[-1])
-        least, cs = cond[:-1], _KERNEL_THRESHOLDS
-    else:
-        if not np.all(w >= phi_vals[1:] - _slack(phi_vals[1:])):
-            raise VerificationFailed("envelope: staircase drops below the squared source")
-        # exclusion, source < c + staircase: least just below each t_{n+1}, and at t_N
-        ends, cs = bps[1:], tuple(-c for c in _KERNEL_THRESHOLDS)
-        cond = least = w - src.eval(np.append(np.nextafter(bps[1:-1], -np.inf), bps[-1]))
-
-    t0s = []
-    for c in cs:
-        if not cond[-1] > c:
-            raise VerificationFailed(f"condition: threshold c = {abs(c)} never permanently met")
-        failing = np.flatnonzero(least <= c)
-        t0 = ends[failing[-1]] if len(failing) else bps[0]
-        if len(failing) and s.variant == VANISHER:
-            # source - w_n > c just where the source exceeds _below_sum(-w_n, c)
-            n = failing[-1]
-            t0 = min(max(src.inverse_point(_below_sum(-w[n], c)), bps[n]), t0)
-        t0s.append((abs(c), float(t0)))
-    if [t for _, t in t0s] != sorted(t for _, t in t0s):
+    for c, t0 in rule.crossings:
+        if t0 is None:
+            raise VerificationFailed(f"condition: threshold c = {c} never permanently met")
+    if [t for _, t in rule.crossings] != sorted(t for _, t in rule.crossings):
         raise VerificationFailed("condition: t0 must be non-decreasing in c")
 
     return StaircaseVerification(
@@ -255,6 +372,6 @@ def verify_construction(s: StaircaseConstruction) -> StaircaseVerification:
         gap_margins=gap_margins,
         delta_lower=rep.delta_lower,
         delta_upper=rep.delta_upper,
-        condition_t0=tuple(t0s),
-        envelope_ok=True,
+        condition_t0=rule.crossings,
+        envelope_ok=envelope_ok,
     )

@@ -484,3 +484,12 @@ def test_cli_construct_one_step_exits_1_with_one_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("TooFewSteps: ")
+
+
+def test_cli_dominator_past_the_floats_exits_1_with_one_line(capsys):
+    # g_A^2 of an exponential overflows by step 27: a typed error, not an OverflowError
+    argv = ["construct", "dominator", "--kind", "exponential", "--n-steps", "27"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "ConstructionRange: step values left the float range\n"

@@ -23,6 +23,7 @@ from singtrace.functions import (
     Family,
     GStep,
     PowerLog,
+    SampledMu,
     SpectralData,
     StepMu,
     _anchor_z1,
@@ -716,5 +717,103 @@ def test_log_e_plus_is_logaddexp_bit_for_bit():
             np.testing.assert_array_equal(log_e_plus(part).view(np.int64),
                                           np.logaddexp(part, 1.0).view(np.int64))
         for v in (41.0, -39.0, *edges, 1.0, 300.0, -1e308, np.inf, -np.inf, np.nan):
-            # the 0-d path of scalar g
-            assert log_e_plus(v).view(np.int64) == np.logaddexp(v, 1.0).view(np.int64)
+            # the float path of scalar g, and the 0-d array path
+            for x in (float(v), np.asarray(v)):
+                got = np.float64(log_e_plus(x)).view(np.int64)
+                assert got == np.logaddexp(v, 1.0).view(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# scalar g and input validation
+
+SCALAR_G_FAMILIES = [
+    ("power_log", power_log(scale=2.0, p=1.5, q=0.5)),
+    ("power_log_q0", power_log(scale=0.7, p=1.2)),
+    ("power_log_negative_q", power_log(scale=1.3, p=1.4, q=-0.6)),
+    ("power_log_p0", power_log(p=0.0, q=1.5)),
+    ("exponential", exponential(0.7)),
+    ("pure_power", pure_power(p=2.0, scale=3.0, cap=1.5)),
+    ("step", step_mu([0, 1, 2.5], [4.0, 1.0])),
+    ("g_step", g_step([-3.0, 1.0, 9.0, 800.0], [0.5, 1.0, 2.0, 3.0, 4.0], horizon=900.0)),
+    ("sampled", sampled([0.0, 2.0, 4.0], [1.0, 0.5, 0.25])),
+    ("sampled_tail", sampled([0.0, 2.0, 4.0], [1.0, 0.5, 0.25], tail=PowerLog(p=2.0))),
+    ("pointwise_min", pointwise_min(g_transform(power_log(p=2)), g_transform(exponential(1.0)))),
+]
+
+
+@pytest.mark.parametrize("name, fn", SCALAR_G_FAMILIES, ids=[n for n, _ in SCALAR_G_FAMILIES])
+def test_scalar_g_is_the_array_g_bit_for_bit(name, fn):
+    # a float t takes Python float arithmetic where a family allows it, an
+    # array numpy's: the same operations, so the same bits
+    rng = np.random.default_rng(53)
+    ts = [*rng.uniform(-60.0, 900.0, 200), *rng.normal(1.0, 45.0, 200)]
+    for edge in (41.0, -39.0):  # where log_e_plus leaves logaddexp
+        ts += [edge, float(np.nextafter(edge, -np.inf)), float(np.nextafter(edge, np.inf))]
+    base = g_transform(fn)
+    for g in (base, shift(base, 0.37, -1.25), g_transform(dilate(g_inverse(base), 2.5))):
+        knots = list(g.knots_t or ())
+        for t in ts + knots + [float(np.nextafter(k, -np.inf)) for k in knots]:
+            got, want = g(float(t)), g.eval(np.array([t]))[0]
+            assert struct.pack("<d", got) == struct.pack("<d", want), (name, t, got, want)
+
+
+INVALID_FAMILY_INPUTS = [
+    (lambda: StepMu((0.0, 1.0, math.nan), (2.0, 1.0)), NonFinite,
+     "step breakpoints and values must be finite, got nan"),
+    (lambda: StepMu((0.0, 1.0, 2.0), (2.0, -math.inf)), NonFinite,
+     "step breakpoints and values must be finite, got -inf"),
+    (lambda: StepMu((), ()), ValueError, "breakpoints must start at 0"),
+    (lambda: StepMu((0.5, 1.0), (1.0,)), ValueError, "breakpoints must start at 0"),
+    (lambda: StepMu((0.0, 2.0, 2.0), (2.0, 1.0)), ValueError, "breakpoints must increase strictly"),
+    (lambda: StepMu((0.0, 1.0), (2.0, 1.0)), ValueError, "need one value per bounded piece"),
+    (lambda: StepMu((0.0, 1.0, 2.0), (1.0, -0.5)), NegativeValue,
+     "step values must be nonnegative"),
+    (lambda: StepMu((0.0, 1.0, 2.0), (1.0, 2.0)), ValueError, "step values must be non-increasing"),
+    (lambda: GStep((1.0, math.inf), (0.0, 1.0, 2.0)), NonFinite,
+     "g step breakpoints must be finite, got inf"),
+    (lambda: GStep((1.0, 2.0), (0.0, math.nan, math.inf)), NonFinite,
+     "g step values must be finite, got nan"),
+    (lambda: GStep((1.0, 2.0), (-math.inf, 1.0, 2.0)), NonFinite,
+     "g step values must be finite, got -inf"),
+    (lambda: GStep((1.0,), (0.0, 1.0), horizon=math.inf), NonFinite,
+     "g step horizon must be finite, got inf"),
+    (lambda: GStep((), (1.0,)), ValueError, "need at least one breakpoint"),
+    (lambda: GStep((2.0, 1.0), (0.0, 1.0, 2.0)), ValueError, "breakpoints must increase strictly"),
+    (lambda: GStep((1.0, 2.0), (0.0, 1.0)), ValueError, "need len(breakpoints) + 1 values"),
+    (lambda: GStep((1.0, 2.0), (0.0, 2.0, 1.0)), ValueError, "values must be non-decreasing"),
+    (lambda: GStep((1.0, 2.0), (2.0, 2.0, 2.0)), NotInfinitesimal,
+     "constant g gives a non-vanishing profile"),
+    (lambda: SampledMu((0.0, math.inf), (1.0, 0.5)), NonFinite,
+     "sample grid and values must be finite, got inf"),
+    (lambda: SampledMu((0.0, 1.0), (1.0,)), ValueError,
+     "need matching grid/values with at least 2 samples"),
+    (lambda: SampledMu((0.0,), (1.0,)), ValueError,
+     "need matching grid/values with at least 2 samples"),
+    (lambda: SampledMu((-1.0, 1.0), (1.0, 0.5)), ValueError,
+     "grid must be nonnegative and strictly increasing"),
+    (lambda: SampledMu((0.0, 1.0, 1.0), (1.0, 0.5, 0.2)), ValueError,
+     "grid must be nonnegative and strictly increasing"),
+    (lambda: SampledMu((0.0, 1.0), (1.0, -0.5)), NegativeValue, "sample values must be nonnegative"),
+    (lambda: SampledMu((0.0, 1.0), (0.5, 1.0)), ValueError, "sample values must be non-increasing"),
+    (lambda: SampledMu((0.0, 1.0), (1.0, 0.5), tail=2.0), TypeError,
+     "a sampled tail must be a Family, got <class 'float'>"),
+    (lambda: SampledMu((0.0, 1.0), (1.0, 1.0)), NotInfinitesimal,
+     "constant samples give a non-vanishing profile"),
+]
+
+
+@pytest.mark.parametrize("make, exc, message", INVALID_FAMILY_INPUTS,
+                         ids=[f"{i}-{e.__name__}" for i, (_, e, _) in enumerate(INVALID_FAMILY_INPUTS)])
+def test_invalid_family_inputs_keep_their_typed_errors(make, exc, message):
+    # the first failing check in the documented order names the input
+    with pytest.raises(exc) as info:
+        make()
+    assert type(info.value) is exc and str(info.value) == message
+
+
+def test_step_knots_are_the_log_of_the_positive_edges(seeded_samples):
+    for grid, values in seeded_samples:
+        for fam in (sampled(grid, values).family,
+                    sampled(grid, values, tail=StepMu((0.0, 2.0 * grid[-1]), (1e-9,))).family):
+            edges = fam.edges_x()
+            assert fam.knots_t() == tuple(np.log([e for e in edges if e > 0]).tolist())

@@ -1,13 +1,23 @@
 import dataclasses
+import gc
+import hashlib
 import math
+import random
 import sys
 
 import numpy as np
 import pytest
 
-from singtrace import staircase
-from singtrace.errors import Bounded, FiniteRank, TooFewSteps, VerificationFailed
+from singtrace import ideals, staircase
+from singtrace.errors import (
+    Bounded,
+    ConstructionRange,
+    FiniteRank,
+    TooFewSteps,
+    VerificationFailed,
+)
 from singtrace.functions import (
+    GFunction,
     PowerLog,
     _View,
     dilate,
@@ -533,3 +543,158 @@ def test_power_log_staircases_verify_across_q():
         src = g_transform(power_log(float(np.exp(rng.uniform(-1.0, 1.0))), p, q))
         for build in (construct_vanisher, construct_dominator):
             verify_construction(build(src, 40))
+
+
+# ---------------------------------------------------------------------------
+# memberships against the own source, decided from the construction
+
+OWN_SOURCES = {
+    "line": line_g,
+    "power_log_q": lambda: pl_g(1.3, 1.0, 1.1),
+    "pointwise_min": INVERSE_SOURCES["pointwise_min"],
+    "sampled_tail": INVERSE_SOURCES["sampled_tail"],
+    "exponential": lambda: g_transform(exponential(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", OWN_SOURCES)
+def test_own_staircase_memberships_are_exact_without_a_tail_grid(monkeypatch, name):
+    def no_grid(*args):
+        raise AssertionError("tail grid built")
+
+    monkeypatch.setattr(ideals, "_tail_grid", no_grid)
+    src = OWN_SOURCES[name]()
+    vanisher, dominator = construct_vanisher(src, 20), construct_dominator(src, 20)
+    for decide in (in_kernel, in_principal_ideal):
+        dec = decide(src, vanisher.g())
+        assert (dec.verdict, dec.mode, dec.refutation) == (MEMBER, "exact", None)
+        dec.witness  # read from the construction, not from a grid
+        dec = decide(src, dominator.g())
+        assert (dec.verdict, dec.mode, dec.witness) == (NON_MEMBER, "exact", None)
+        assert dec.refutation.basis == "construction"
+
+
+@pytest.mark.parametrize("name", OWN_SOURCES)
+def test_vanisher_witness_is_the_verified_condition(name):
+    src = OWN_SOURCES[name]()
+    s = construct_vanisher(src, 20)
+    # decided before verification: the same crossings, computed once
+    witness = in_kernel(src, s.g()).witness
+    ver = verify_construction(s)
+    assert tuple((c, t0) for c, t0, _ in witness.thresholds) == ver.condition_t0
+    assert all(ok for _, _, ok in witness.thresholds)
+    assert (witness.a, witness.b, witness.t0, witness.horizon) == (0.0, 0.0, 1.0, math.inf)
+    # the ideal's b bounds the gap from t_1 on, past the constructed range too
+    ideal = in_principal_ideal(src, s.g()).witness
+    assert ideal.b <= 0.0 and ideal.thresholds == ()
+    gA, stair = s.normalized_source(), s.g()
+    ts = np.linspace(1.0, 3.0 * stair.horizon_t, 4001)
+    assert np.all(src.eval(ts) - stair.eval(ts) >= ideal.b)
+    assert np.all(stair.eval(ts) <= np.sqrt(gA.eval(ts)) + 1e-12 * gA.eval(ts))
+
+
+def test_a_vanisher_short_of_its_last_threshold_reports_it_unmet():
+    # two steps of the line end at t = 12 with gap 9 < 10: no t0 for 10 and 100
+    s = construct_vanisher(line_g(), 2)
+    with pytest.raises(VerificationFailed):  # its indices fail first
+        verify_construction(s)
+    dec = in_kernel(line_g(), s.g())
+    assert (dec.verdict, dec.mode) == (MEMBER, "exact")
+    assert [(c, ok) for c, _, ok in dec.witness.thresholds] == [(1.0, True), (10.0, False),
+                                                                 (100.0, False)]
+
+
+def test_other_pairs_keep_the_horizon_decision():
+    src = line_g()
+    for s, decide in ((construct_vanisher(src, 40), in_kernel),
+                      (construct_dominator(src, 40), in_principal_ideal)):
+        stair = s.g()
+        fam = stair.family
+        rebuilt = g_step(fam.breakpoints, fam.values, fam.horizon, fam.integrable, fam.label)
+        assert rebuilt == stair and rebuilt.family.construction is None
+        for ga, gb in ((src, rebuilt), (shift(src, 0.5, 0.0), stair), (shift(src, 0.0, 1.0), stair),
+                       (pl_g(1.0, 1.2, 0.0), stair), (src, shift(stair, 0.0, 1.0))):
+            assert decide(ga, gb).mode == "horizon", (ga, gb)
+    # a source with a horizon: the proof needs the whole source
+    src = INVERSE_SOURCES["g_step"]()
+    s = construct_vanisher(src, 12)
+    assert in_kernel(src, s.g()).mode == "horizon"
+
+
+def test_a_staircase_failing_its_envelope_keeps_the_horizon_decision():
+    s = construct_vanisher(line_g(), 40)
+    raised = dataclasses.replace(s, step_values=(s.step_values[0] + 0.5,) + s.step_values[1:])
+    with pytest.raises(VerificationFailed, match="envelope"):
+        verify_construction(raised)
+    assert in_kernel(line_g(), raised.g()).mode == "horizon"
+    assert in_kernel(line_g(), s.g()).mode == "exact"
+
+
+def test_own_staircase_decisions_leave_no_cyclic_garbage():
+    # the step family keeps its rule and the rule no construction: reference
+    # counting frees every construction, view, rule and decision
+    gc.collect()
+    gc.disable()
+    try:
+        for src in (line_g(), pl_g(1.3, 1.0, 1.1)):
+            for build, decide in ((construct_vanisher, in_kernel),
+                                  (construct_dominator, in_principal_ideal)):
+                for _ in range(5):
+                    s = build(src, 40)
+                    verify_construction(s)
+                    dec = decide(src, s.g())
+                    dec.witness
+        del s, dec
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_margin_settled_steps_take_no_inverse(monkeypatch):
+    # each dominator step of the line is settled by its margin point, so
+    # only the first asks for the inverse; no vanisher step is
+    calls = []
+    inverse = GFunction.inverse_point
+    monkeypatch.setattr(GFunction, "inverse_point",
+                        lambda self, y: calls.append(y) or inverse(self, y))
+    construct_dominator(line_g(), 40)
+    assert len(calls) == 1
+    calls.clear()
+    construct_vanisher(line_g(), 40)
+    assert len(calls) == 39
+
+
+def test_dominator_steps_past_the_floats_raise_construction_range():
+    # g_A(t)^2 of an exponential leaves the floats by step 27, where v ** 2 raises
+    with pytest.raises(ConstructionRange, match="^step values left the float range$"):
+        construct_dominator(g_transform(exponential(1.0)), 27)
+
+
+def _pinned_sources():
+    """20 seeded sources: power-logs, pure powers, exponentials, shifted and
+    dilated views, minima and sampled profiles with a power-log tail."""
+    rng = random.Random(20)
+    u = rng.uniform
+    makers = [
+        lambda: power_log(u(0.3, 3.0), rng.choice([1.0, u(0.2, 2.5)]), u(0.0, 2.0)),
+        lambda: pure_power(u(0.3, 3.0), u(0.3, 3.0), u(0.3, 3.0)),
+        lambda: exponential(u(0.2, 3.0)),
+        lambda: shift(g_transform(power_log(1.0, u(0.5, 2.0), u(-0.3, 1.0))), u(-2, 2), u(-2, 2)),
+        lambda: dilate(power_log(1.0, u(0.5, 2.0), u(0.0, 1.0)), u(0.3, 3.0)),
+        lambda: pointwise_min(g_transform(power_log(1.0, u(1.0, 2.0), u(0.0, 1.5))),
+                              g_transform(pure_power(u(0.8, 2.0), u(0.5, 2.0)))),
+        lambda: sampled([0, 0.5, 1, 2, 3], [1, 0.8, 0.5, 0.3, 0.2],
+                        tail=PowerLog(u(0.5, 2.0), u(0.8, 2.0), u(0.0, 1.0))),
+    ]
+    return [makers[i % len(makers)]() for i in range(20)]
+
+
+def test_staircases_match_their_pinned_digest():
+    # the sha256 of every breakpoint and step value, taken before margin
+    # settled steps and float g: both must leave every bit in place
+    h = hashlib.sha256()
+    for src in _pinned_sources():
+        for build in (construct_vanisher, construct_dominator):
+            s = build(src, 24)
+            h.update(repr((s.breakpoints, s.step_values)).encode())
+    assert h.hexdigest() == "a0c8293de8aea22d7aaf3faedd581e4ebc8dd3dcd562bbbedbff1108665739c4"
