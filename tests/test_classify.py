@@ -145,6 +145,14 @@ def test_sampled_without_tail_is_undecided_on_integral_criteria():
     assert traceable_by_ratio(mu).traceable is None
 
 
+def test_horizon_below_the_dyadic_windows_leaves_the_tail_criteria_undecided():
+    # g is trusted only to t = 3, short of the windows the tail criteria read
+    rep = classify(g_inverse(g_step([1, 2], [0, 1, 2.5], horizon=3, integrable=False)))
+    for verdict in (rep.by_liminf, rep.by_ratio):
+        assert verdict.traceable is None and verdict.horizon_limited
+        assert verdict.note == "horizon too short for dyadic windows"
+
+
 @pytest.mark.parametrize("p", [2.0, 0.5])
 def test_sampled_with_power_tail_is_not_traceable(p):
     # past x = e^709 only the tail's own g stays finite

@@ -231,6 +231,20 @@ def test_cli_ideal_check_near_equal_growth_exits_2(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["verdict"] == "undecided"
 
 
+def test_cli_p0_dominator_read_back_is_undecided(capsys, tmp_path):
+    # the construct JSON's staircase is a plain g_step; the tail grid of this
+    # slowly varying source lies within its flat top step, so there is no
+    # slope evidence either way (the dominator keeps its source out)
+    src = write_family(tmp_path, "src.json", {"kind": "power_log", "scale": 0.7328028348785647,
+                                              "p": 0, "q": 1.3244548405582095})
+    out = tmp_path / "dominator.json"
+    assert main(["construct", "dominator", src, "--n-steps", "40",
+                 "--format", "json", "--output", str(out)]) == 0
+    stair = write_family(tmp_path, "stair.json", json.loads(out.read_text())["staircase"])
+    assert main(["ideal-check", src, stair, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "undecided"
+
+
 def test_cli_ideal_and_kernel_checks(capsys, tmp_path):
     a = write_family(tmp_path, "a.json", {"kind": "power_log", "p": 2.0})
     b = write_family(tmp_path, "b.json", {"kind": "power_log", "p": 1.0})
@@ -493,3 +507,12 @@ def test_cli_dominator_past_the_floats_exits_1_with_one_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err == "ConstructionRange: step values left the float range\n"
+
+
+def test_cli_vanisher_past_the_floats_exits_1_with_one_line(capsys):
+    # a p = 0 source grows like q log t, so its vanisher's breakpoints leave the floats
+    argv = ["construct", "vanisher", "--kind", "power_log", "--p", "0", "--q", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ConstructionRange: breakpoint 7 left the float range\n"

@@ -135,6 +135,13 @@ def test_horizon_too_short():
         matuszewska(mu)
 
 
+def test_tail_window_with_too_few_increments():
+    # the step side's horizon 2.15 leaves a window [1.07, 1.15] under h = 1's ten increments
+    g = pointwise_min(g_step([1, 2], [0, 0.5, 3], horizon=2.15), g_transform(power_log(p=1.5)))
+    with pytest.raises(HorizonTooShort, match="fewer than 10 increments"):
+        matuszewska(g)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(h_grid=(2.0, 3.0))  # 3 not a multiple of 2

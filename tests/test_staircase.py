@@ -670,6 +670,12 @@ def test_dominator_steps_past_the_floats_raise_construction_range():
         construct_dominator(g_transform(exponential(1.0)), 27)
 
 
+def test_vanisher_breakpoints_past_the_floats_raise_construction_range():
+    # a p = 0 source's breakpoints run 1, 5047, 2.7e15, ..., 2.1e191, then overflow
+    with pytest.raises(ConstructionRange, match="^breakpoint 7 left the float range$"):
+        construct_vanisher(g_transform(power_log(p=0, q=1)), 40)
+
+
 def _pinned_sources():
     """20 seeded sources: power-logs, pure powers, exponentials, shifted and
     dilated views, minima and sampled profiles with a power-log tail."""
